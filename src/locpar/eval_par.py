@@ -114,10 +114,6 @@ def _spawn_redex(ctx: RunContext, task: Task):
     return None
 
 
-def _fork_eligible(ctx: RunContext, task: Task) -> bool:
-    return _spawn_redex(ctx, task) is not None
-
-
 def _value_ivar(task: Task) -> str | None:
     e = task.state.expr
     if isinstance(e, S.ConcreteLocVal) and isinstance(e.loc.ext, Ivar):
@@ -137,26 +133,42 @@ def _probe_step(ctx: RunContext, state: SeqState):
         ctx.supply.n = saved_n
 
 
-def enabled_actions(ctx: RunContext, ts: TaskSet) -> list[Action]:
-    """All transitions the schedule may choose from, in task order."""
-    actions: list[Action] = []
-    for task in ts.ordered():
-        if task.complete():
-            iv = _value_ivar(task)
-            if iv is not None and _join_ready(ts, iv):
-                actions.append(("join", task.tid))
-            continue
-        if _fork_eligible(ctx, task):
-            actions.append(("fork", task.tid))
-        res = _probe_step(ctx, task.state)
+def _task_actions(ctx: RunContext, ts: TaskSet, task: Task,
+                  probe) -> tuple[list[Action], tuple[str, str] | None]:
+    """One task's enabled actions (fork, step, join order) and its wait.
+
+    The wait is the (ivar, why) the task needs joined: the ivar its probe is
+    blocked on, or the ivar that is its finished value ('value').  The join
+    is enabled once that ivar's producer has completed.  `probe(task)` runs
+    the task's trial step.
+    """
+    acts: list[Action] = []
+    wait = None
+    if task.complete():
+        iv = _value_ivar(task)
+        if iv is not None:
+            wait = (iv, "value")
+    else:
+        if _spawn_redex(ctx, task) is not None:
+            acts.append(("fork", task.tid))
+        res = probe(task)
         if isinstance(res, Stepped):
-            actions.append(("step", task.tid))
+            acts.append(("step", task.tid))
         elif isinstance(res, Blocked):
-            if _join_ready(ts, res.ivar):
-                actions.append(("join", task.tid))
+            wait = (res.ivar, res.why)
         elif isinstance(res, Stuck):
             raise SemanticsError("Stuck", f"task {task.tid}: {res.reason}")
-    return actions
+    if wait is not None and _join_ready(ts, wait[0]):
+        acts.append(("join", task.tid))
+    return acts, wait
+
+
+def enabled_actions(ctx: RunContext, ts: TaskSet) -> list[Action]:
+    """All transitions the schedule may choose from, in task order."""
+    def probe(task):
+        return _probe_step(ctx, task.state)
+    return [a for task in ts.ordered()
+            for a in _task_actions(ctx, ts, task, probe)[0]]
 
 
 def _join_ready(ts: TaskSet, ivar: str) -> bool:
@@ -184,14 +196,33 @@ def apply_action(ctx: RunContext, ts: TaskSet, action: Action) -> TaskSet:
         _apply_fork(ctx, out, task)
         return out
     if kind == "join":
-        _apply_join(ctx, out, task)
+        _, need = _task_actions(ctx, out, task,
+                                lambda t: _probe_step(ctx, t.state))
+        if need is None:
+            raise SemanticsError("Stuck", f"task {tid} is not blocked")
+        _apply_join(ctx, out, task, need)
         return out
     raise SemanticsError("Stuck", f"unknown action {kind}")
 
 
-def _apply_fork(ctx: RunContext, ts: TaskSet, parent: Task) -> None:
+def _apply_fork(ctx: RunContext, ts: TaskSet, parent: Task) -> Task:
     found = _spawn_redex(ctx, parent)
     assert found is not None
+    child = _fork(ctx, parent, found, ts.next_tid)
+    ts.next_tid += 1
+    ts.tasks[child.tid] = child
+    ts.registry[child.target.ext.name] = child.tid
+    return child
+
+
+def _fork(ctx: RunContext, parent: Task, found: tuple[list[S.Let], S.Let],
+          tid: int) -> Task:
+    """Split the parent at its spawn redex `found`; return the child task.
+
+    The child produces the let's bound expression at the bound location,
+    from a snapshot of the parent's state; the parent continues with the
+    location and the let-bound variable replaced by a fresh ivar.
+    """
     outer, e = found
     lt = e.ty
     iv = ctx.supply.fresh("iv")
@@ -201,10 +232,7 @@ def _apply_fork(ctx: RunContext, ts: TaskSet, parent: Task) -> None:
                            set(pst.nursery), dict(pst.constraints),
                            dict(pst.allocsites))
     region = pst.locmap[lt.loc].region
-    child = Task(ts.next_tid, lt, ConcreteLoc(region, Ivar(iv), lt.loc), child_state)
-    ts.next_tid += 1
-    ts.tasks[child.tid] = child
-    ts.registry[iv] = child.tid
+    child = Task(tid, lt, ConcreteLoc(region, Ivar(iv), lt.loc), child_state)
     # the parent now sees the bound location (and variable) through the ivar
     pst.locmap[lt.loc] = ConcreteLoc(region, Ivar(iv), lt.loc)
     pst.sigma[lt.loc] = lt
@@ -215,22 +243,12 @@ def _apply_fork(ctx: RunContext, ts: TaskSet, parent: Task) -> None:
         inner = S.Let(enc.var, enc.ty, inner, enc.body, enc.spawn)
     pst.expr = inner
     ctx.metrics["forks"] += 1
-
-
-def _needed_ivar(task: Task, ctx: RunContext) -> tuple[str, str]:
-    """Which ivar a consumer is waiting on, and why (case/datacon/value)."""
-    iv = _value_ivar(task)
-    if iv is not None:
-        return iv, "value"
-    res = _probe_step(ctx, task.state)
-    if not isinstance(res, Blocked):
-        raise SemanticsError("Stuck", f"task {task.tid} is not blocked")
-    return res.ivar, res.why
+    return child
 
 
 def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
-                need: tuple[str, str] | None = None) -> None:
-    iv, why = need if need is not None else _needed_ivar(consumer, ctx)
+                need: tuple[str, str]) -> None:
+    iv, why = need
     prod = ts.tasks[ts.registry[iv]]
     pv = prod.state.expr
     assert isinstance(pv, S.ConcreteLocVal) and isinstance(pv.loc.ext, Concrete)
@@ -248,7 +266,10 @@ def _merge_join(ctx: RunContext, cst: SeqState, pst: SeqState,
     cst.sigma.update(pst.sigma)
     cst.constraints.update(pst.constraints)
     for r, l in pst.allocsites.items():
-        cst.allocsites.setdefault(r, l)
+        # a region the consumer created but the producer allocated into
+        # takes the producer's site
+        if cst.allocsites.get(r) is None:
+            cst.allocsites[r] = l
     cst.frontier_notes.update(pst.frontier_notes)
     cst.nursery = (cst.nursery | pst.nursery) - set(cst.sigma)
     # replace the ivar with the producer's concrete result address
@@ -365,8 +386,15 @@ def initial_taskset(tp) -> tuple[RunContext, TaskSet]:
 def run_par(tp, sched: Schedule, opts: dict | None = None) -> RunResult:
     """Drive the task set until every task is complete and the root resolved.
 
-    Applies actions in place and caches each task's next-step probe (tasks
-    only invalidate their own probe), so one semantic step is computed once.
+    Applies actions in place over an incremental ready set.  Each live
+    task's enabled actions and wait (see `_task_actions`) are cached, along
+    with its next-step probe, so one semantic step is computed once.  After
+    an action only these entries are recomputed: the task that acted, a
+    newly forked child, and the tasks waiting on an ivar whose producer has
+    just completed or been joined away (waiters are indexed by ivar).  The
+    action list is the cached entries concatenated in task order, the same
+    list `enabled_actions` builds by rescanning every task, so an action
+    costs no more as the number of live tasks grows.
     """
     opts = opts or {}
     ctx = RunContext(tp, implicit_par=bool(opts.get("implicit_par")))
@@ -377,6 +405,10 @@ def run_par(tp, sched: Schedule, opts: dict | None = None) -> RunResult:
     peak = 1
     stepno = 0
     cache: dict[int, tuple] = {}  # tid -> (StepResult, metrics delta)
+    # tid -> enabled actions; tids only grow, so insertion order is task order
+    entries: dict[int, list[Action]] = {}
+    waits: dict[int, tuple[str, str]] = {}  # tid -> (ivar, why) it needs
+    waiters: dict[str, set[int]] = {}  # ivar -> tids whose wait is on it
 
     def probe(task: Task):
         ent = cache.get(task.tid)
@@ -388,29 +420,27 @@ def run_par(tp, sched: Schedule, opts: dict | None = None) -> RunResult:
             ctx.metrics.update(before)
             ent = (res, delta)
             cache[task.tid] = ent
-        return ent
+        return ent[0]
 
+    def forget(tid: int) -> None:
+        old = waits.pop(tid, None)
+        if old is not None:
+            waiters[old[0]].discard(tid)
+
+    def refresh(task: Task) -> None:
+        forget(task.tid)
+        entries[task.tid], wait = _task_actions(ctx, ts, task, probe)
+        if wait is not None:
+            waits[task.tid] = wait
+            waiters.setdefault(wait[0], set()).add(task.tid)
+
+    def wake(iv: str) -> None:
+        for tid in sorted(waiters.get(iv, ())):
+            refresh(ts.tasks[tid])
+
+    refresh(root)
     while True:
-        actions: list[Action] = []
-        needs: dict[int, tuple[str, str]] = {}
-        for task in ts.ordered():
-            if task.complete():
-                iv = _value_ivar(task)
-                if iv is not None and _join_ready(ts, iv):
-                    actions.append(("join", task.tid))
-                    needs[task.tid] = (iv, "value")
-                continue
-            if _fork_eligible(ctx, task):
-                actions.append(("fork", task.tid))
-            res, _ = probe(task)
-            if isinstance(res, Stepped):
-                actions.append(("step", task.tid))
-            elif isinstance(res, Blocked):
-                if _join_ready(ts, res.ivar):
-                    actions.append(("join", task.tid))
-                    needs[task.tid] = (res.ivar, res.why)
-            elif isinstance(res, Stuck):
-                raise SemanticsError("Stuck", f"task {task.tid}: {res.reason}")
+        actions = [a for acts in entries.values() for a in acts]
         if not actions:
             if all(t.complete() for t in ts.tasks.values()) \
                     and _value_ivar(ts.root()) is None:
@@ -426,12 +456,24 @@ def run_par(tp, sched: Schedule, opts: dict | None = None) -> RunResult:
             task.state = res.state
             for k, n in delta.items():
                 ctx.metrics[k] = ctx.metrics.get(k, 0) + n
+            refresh(task)
         elif kind == "fork":
             cache.pop(tid, None)
-            _apply_fork(ctx, ts, task)
+            child = _apply_fork(ctx, ts, task)
+            refresh(task)
+            refresh(child)
         else:
             cache.pop(tid, None)
-            _apply_join(ctx, ts, task, needs[tid])
+            need = waits[tid]
+            ptid = ts.registry[need[0]]
+            _apply_join(ctx, ts, task, need)
+            del entries[ptid]
+            forget(ptid)
+            refresh(task)
+            wake(need[0])
+        if task.complete() and task.target is not None \
+                and isinstance(task.target.ext, Ivar):
+            wake(task.target.ext.name)
         peak = max(peak, len(ts.tasks))
         stepno += 1
         if wf_cb is not None:
@@ -825,7 +867,11 @@ def run_threads(tp, max_workers: int, opts: dict | None = None) -> RunResult:
 
     Tasks exchange only immutable snapshots at joins, so interleaving order
     is unconstrained; the final flattened value and the extra-region count
-    match the simulated always-fork schedule.
+    match the simulated always-fork schedule.  Scheduling is work-first, as
+    in Cilk: a forked child is queued as unstarted, a join on a child that
+    no thread has taken yet runs it inline, and a pool thread that finds its
+    child already taken returns at once.  So no thread waits on a child that
+    is still queued, and any pool size finishes.
     """
     import threading
     from concurrent.futures import ThreadPoolExecutor
@@ -835,17 +881,10 @@ def run_threads(tp, max_workers: int, opts: dict | None = None) -> RunResult:
     lock = threading.Lock()
     results: dict[str, tuple[SeqState, ConcreteLoc]] = {}
     events: dict[str, threading.Event] = {}
+    unstarted: dict[str, Task] = {}  # ivar -> forked child no thread has taken
     errors: list[BaseException] = []
     peak = [1]
     live = [1]
-
-    def fresh(base: str) -> str:
-        with lock:
-            return ctx.supply.fresh(base)
-
-    def bump(key: str, n: int = 1) -> None:
-        with lock:
-            ctx.metrics[key] += n
 
     pool = ThreadPoolExecutor(max_workers=max(1, max_workers))
 
@@ -854,33 +893,14 @@ def run_threads(tp, max_workers: int, opts: dict | None = None) -> RunResult:
             while True:
                 found = _spawn_redex(ctx, task)
                 if found is not None:
-                    outer, e = found
-                    lt = e.ty
-                    iv = fresh("iv")
-                    pst = task.state
-                    child_state = SeqState(pst.store.copy(), dict(pst.locmap),
-                                           e.bound, dict(pst.frontier_notes),
-                                           dict(pst.sigma), set(pst.nursery),
-                                           dict(pst.constraints),
-                                           dict(pst.allocsites))
-                    region = pst.locmap[lt.loc].region
-                    child = Task(-1, lt,
-                                 ConcreteLoc(region, Ivar(iv), lt.loc),
-                                 child_state)
                     with lock:
+                        child = _fork(ctx, task, found, -1)
+                        iv = child.target.ext.name
                         events[iv] = threading.Event()
+                        unstarted[iv] = child
                         live[0] += 1
                         peak[0] = max(peak[0], live[0])
-                        ctx.metrics["forks"] += 1
-                    pst.locmap[lt.loc] = ConcreteLoc(region, Ivar(iv), lt.loc)
-                    pst.sigma[lt.loc] = lt
-                    pst.nursery.discard(lt.loc)
-                    hole = S.ConcreteLocVal(ConcreteLoc(region, Ivar(iv), lt.loc))
-                    inner = S.substitute(e.body, var_map={e.var: hole})
-                    for enc in reversed(outer):
-                        inner = S.Let(enc.var, enc.ty, inner, enc.body, enc.spawn)
-                    pst.expr = inner
-                    pool.submit(run_child, child, iv)
+                    pool.submit(take_and_run, iv)
                     continue
                 with lock:
                     res = step_seq(ctx, task.state)
@@ -888,15 +908,13 @@ def run_threads(tp, max_workers: int, opts: dict | None = None) -> RunResult:
                     task.state = res.state
                     continue
                 if isinstance(res, Blocked):
-                    _thread_join(ctx, task, res.ivar, res.why,
-                                 events, results, lock)
+                    join(task, res.ivar, res.why)
                     continue
                 if isinstance(res, Stuck):
                     raise SemanticsError("Stuck", res.reason)
                 iv = _value_ivar(task)
                 if iv is not None:
-                    _thread_join(ctx, task, iv, "value",
-                                 events, results, lock)
+                    join(task, iv, "value")
                     continue
                 return task
         except BaseException as exc:  # surfaced by the caller
@@ -906,14 +924,30 @@ def run_threads(tp, max_workers: int, opts: dict | None = None) -> RunResult:
             with lock:
                 live[0] -= 1
 
-    def run_child(task: Task, iv: str):
-        done = run_task(task)
-        if done is None:
-            return
-        v = done.state.expr
+    def take_and_run(iv: str) -> None:
         with lock:
-            results[iv] = (done.state, v.loc)
-        events[iv].set()
+            child = unstarted.pop(iv, None)
+        if child is None:
+            return  # a join already ran it inline
+        try:
+            done = run_task(child)
+            with lock:
+                results[iv] = (done.state, done.state.expr.loc)
+        finally:
+            events[iv].set()
+
+    def join(task: Task, iv: str, why: str) -> None:
+        ev = events.get(iv)
+        if ev is None:
+            raise SemanticsError("Stuck", f"no producer for ivar {iv}")
+        take_and_run(iv)
+        ev.wait()
+        with lock:
+            if iv not in results:
+                raise SemanticsError("Stuck", f"producer of ivar {iv} failed")
+            pst, ploc = results[iv]
+            _merge_join(ctx, task.state, pst, iv, ploc, why)
+            ctx.metrics["joins"] += 1
 
     root = Task(0, None, None, SeqState(Store(), {}, tp.program.main))
     try:
@@ -923,17 +957,6 @@ def run_threads(tp, max_workers: int, opts: dict | None = None) -> RunResult:
     if errors:
         raise errors[0]
     metrics = dict(ctx.metrics)
-    metrics["peak_tasks"] = peak[0] + 1
+    metrics["peak_tasks"] = peak[0]
     return RunResult(final.state.expr, final.state.store, final.state.locmap,
                      metrics, final.state, [])
-
-
-def _thread_join(ctx, task, iv, why, events, results, lock):
-    ev = events.get(iv)
-    if ev is None:
-        raise SemanticsError("Stuck", f"no producer for ivar {iv}")
-    ev.wait()
-    with lock:
-        pst, ploc = results[iv]
-        _merge_join(ctx, task.state, pst, iv, ploc, why)
-        ctx.metrics["joins"] += 1

@@ -5,6 +5,12 @@ locations are resolved through a per-task LocationMap into concrete locations,
 whose index may be a plain cell index, an unfilled ivar, or an indirection to
 another region's cell.  All operations treat stores and maps as values: they
 return updated copies and never mutate their arguments in place.
+
+Copies are copy-on-write per region: a copy gets its own region dict but
+shares every heap dict with the store it came from, so copying costs
+O(regions), not O(cells).  A shared heap is therefore never mutated: an
+operation that changes a region's cells replaces that region's heap with an
+updated copy.
 """
 
 from __future__ import annotations
@@ -90,7 +96,8 @@ class Store:
     refcounts: dict[str, int] = field(default_factory=dict)
 
     def copy(self) -> "Store":
-        return Store({r: dict(h) for r, h in self.regions.items()}, dict(self.refcounts))
+        """A new region dict over the same (shared, never mutated) heaps."""
+        return Store(dict(self.regions), dict(self.refcounts))
 
     def add_region(self, r: str) -> "Store":
         if r in self.regions:
@@ -205,27 +212,38 @@ def write_cell(s: Store, r: str, i: int, hv: HeapValue) -> Store:
             return s
         raise StoreError("DoubleWrite", f"cell ({r},{i}) holds {existing}, refusing {hv}")
     out = s.copy()
-    out.regions[r][i] = hv
+    heap = dict(s.regions[r])
+    heap[i] = hv
+    out.regions[r] = heap
     return out
 
 
 ### merging
 
 def merge_store(s1: Store, s2: Store) -> Store:
-    """Union of two task-private stores; shared cells must agree."""
+    """Union of two task-private stores; shared cells must agree.
+
+    A region only one side has, or whose heap both sides share, is shared
+    with the result; a heap is copied only when the other side adds cells.
+    """
     out = s1.copy()
     for r, heap in s2.regions.items():
-        if r not in out.regions:
-            out.regions[r] = dict(heap)
+        mine = out.regions.get(r)
+        if mine is None:
+            out.regions[r] = heap
             out.refcounts[r] = s2.refcounts.get(r, 1)
             continue
-        mine = out.regions[r]
+        if mine is heap:
+            continue
+        merged = None
         for i, hv in heap.items():
-            if i in mine and mine[i] != hv:
-                raise StoreError(
-                    "MergeConflict",
-                    f"cell ({r},{i}): {mine[i]} vs {hv}")
-            mine[i] = hv
+            old = mine.get(i)
+            if old is None:
+                if merged is None:
+                    merged = out.regions[r] = dict(mine)
+                merged[i] = hv
+            elif old != hv:
+                raise StoreError("MergeConflict", f"cell ({r},{i}): {old} vs {hv}")
     return out
 
 

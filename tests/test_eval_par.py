@@ -1,12 +1,17 @@
 """Parallel machine: schedules, determinism, joins, well-formedness."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import GOOD_EXAMPLES
 from locpar import eval_par as P
 from locpar import syntax as S
-from locpar.eval_seq import run_seq, verify_frontier_notes
+from locpar.eval_seq import SemanticsError, run_seq, verify_frontier_notes
 from locpar.store import IndirectionCell, Scalar, Tag
+from locpar.typecheck import typecheck_program
 
 
 def flat(store, r):
@@ -108,6 +113,19 @@ class TestWellFormedness:
 
         P.run_par(tp, P.always_fork(), {"wf_callback": wf_cb})
 
+    def test_join_keeps_producer_allocation_site(self, load_program):
+        # under this schedule the consumer runs a spawned call past the
+        # call's letregion and forks it later; the producer allocates into
+        # the region, so after the join the region must have its site
+        tp = load_program("countnodes.lcp")
+        flagged = []
+
+        def wf_cb(ctx, ts):
+            flagged.extend(P.check_wellformed(tp, ts, ctx))
+
+        P.run_par(tp, P.random_schedule(0), {"wf_callback": wf_cb})
+        assert flagged == []
+
 
 class TestEnumeration:
     def test_terminal_count_and_agreement(self, load_program, canonical):
@@ -142,6 +160,84 @@ class TestEnumeration:
         assert P.canonical_hash(ts_a) == P.canonical_hash(ts_b)
 
 
+# Two tasks wait on one ivar: main cases on t while the spawned copy reads t.
+# The first join removes t's producer, so the other waiter's join must drop
+# out of the action list.
+TWO_WAITERS = """
+data Tree = Leaf Int | Node Tree Tree
+
+fun mk [l@r] (k : Int) : Tree@l@r = (Leaf l@r k)
+
+fun copy [li@ri, lo@ro] (t : Tree@li@ri) : Tree@lo@ro =
+  case t of {
+    Leaf (x : Int@lx@ri) -> (Leaf lo@ro x)
+  ; Node (a : Tree@la@ri) (b : Tree@lb@ri) -> (Leaf lo@ro 0)
+  }
+
+fun sum [l@r] (t : Tree@l@r) : Int =
+  case t of {
+    Leaf (x : Int@lx@r) -> x
+  ; Node (a : Tree@la@r) (b : Tree@lb@r) -> 0
+  }
+
+main =
+  letregion r in
+  letloc l@r = start r in
+  let t : Tree@l@r = spawn (mk [l@r] 5) in
+  letregion r2 in
+  letloc l2@r2 = start r2 in
+  let u : Tree@l2@r2 = spawn (copy [l@r, l2@r2] t) in
+  (sum [l@r] t) + (sum [l2@r2] u)
+"""
+
+SCHEDULES = [P.never_fork, P.always_fork] + \
+    [lambda k=k: P.random_schedule(k) for k in range(5)]
+
+
+def assert_run_par_matches_rescan(tp, make_schedule):
+    """run_par keeps its action list incrementally; a driver that rescans
+    every task before each action must make the same decisions and stop in
+    the same way."""
+    ctx, ts = P.initial_taskset(tp)
+    sched = make_schedule()
+    rescan = []
+    while actions := P.enabled_actions(ctx, ts):
+        kind, tid = P.choose_action(sched, actions, len(rescan))
+        rescan.append({"step": len(rescan), "task": tid, "action": kind})
+        ts = P.apply_action(ctx, ts, (kind, tid))
+    if all(t.complete() for t in ts.tasks.values()) \
+            and P._value_ivar(ts.root()) is None:
+        assert P.run_par(tp, make_schedule()).metrics["decisions"] == rescan
+    else:
+        with pytest.raises(SemanticsError) as err:
+            P.run_par(tp, P.trace_schedule(rescan))
+        assert err.value.code == "NoEnabledTransition"
+
+
+class TestIncrementalReadySet:
+    @pytest.mark.parametrize("name", GOOD_EXAMPLES)
+    def test_run_par_chooses_as_a_full_rescan(self, load_program, name):
+        tp = load_program(name)
+        for mk in SCHEDULES:
+            assert_run_par_matches_rescan(tp, mk)
+
+    def test_joined_away_ivar_leaves_its_other_waiters(self):
+        tp = typecheck_program(S.parse_program(TWO_WAITERS))
+        for mk in SCHEDULES:
+            assert_run_par_matches_rescan(tp, mk)
+
+
+def run_threads_bounded(tp, workers, seconds=60):
+    """run_threads in a daemon thread, so that a deadlock fails the test."""
+    box = {}
+    th = threading.Thread(target=lambda: box.update(res=P.run_threads(tp, workers)),
+                          daemon=True)
+    th.start()
+    th.join(seconds)
+    assert not th.is_alive(), f"run_threads with {workers} workers hung"
+    return box["res"]
+
+
 class TestThreads:
     def test_thread_pool_matches_schedule_semantics(self, load_program,
                                                     canonical):
@@ -152,6 +248,30 @@ class TestThreads:
         assert canonical(tp, res.value, res.store) == ref
         assert metrics_of(res)["extra_regions"] == \
             metrics_of(ref_res)["extra_regions"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_fewer_workers_than_live_tasks_finish(self, load_program,
+                                                  canonical, workers):
+        # buildtree forks 15 times; a pool thread blocked on a child that is
+        # still queued behind it must not stall the run.  Frequent thread
+        # switches make a lost update to the unstarted set likely to show.
+        tp = load_program("buildtree.lcp")
+        ref = P.run_par(tp, P.always_fork())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            res = run_threads_bounded(tp, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert canonical(tp, res.value, res.store) == \
+            canonical(tp, ref.value, ref.store)
+        m = res.metrics
+        assert m["forks"] == m["joins"] == m["extra_regions"] == 15
+
+    def test_peak_tasks_counts_the_root_once(self, load_program):
+        tp = load_program("constfold.lcp")
+        assert P.run_par(tp, P.always_fork()).metrics["peak_tasks"] == 2
+        assert run_threads_bounded(tp, 2).metrics["peak_tasks"] == 2
 
 
 class TestEndTracking:

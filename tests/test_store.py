@@ -131,6 +131,16 @@ class TestMerge:
         with pytest.raises(StoreError):
             ST.merge_store(a, b)
 
+    def test_copies_share_no_writes(self):
+        # copies share heap dicts, so a write or merge must replace a heap,
+        # never change one another store can see
+        a = exp_store()
+        b = ST.write_cell(a.copy(), "r", 5, Tag("Lit"))
+        c = ST.merge_store(a, ST.write_cell(a, "r", 6, Scalar(1)))
+        assert a.cell("r", 5) is None and a.cell("r", 6) is None
+        assert b.cell("r", 6) is None and c.cell("r", 5) is None
+        assert c.cell("r", 6) == Scalar(1)
+
     def test_locmap_merge_conflict(self):
         m1 = {"l": ConcreteLoc("r", Concrete(0), "l")}
         m2 = {"l": ConcreteLoc("r", Concrete(1), "l")}
