@@ -160,9 +160,8 @@ def _cmd_explore(args, tp) -> int:
         if isinstance(v, S.IntLit):
             flats.add(("int", v.value))
         else:
-            ty = tp.program.main_type.tycon if hasattr(tp.program, "main_type") \
-                else _main_tycon(tp)
-            flats.add(("tree", L.flatten_value(v.loc, ty, term.store, tp.decls)))
+            flats.add(("tree", L.flatten_value(v.loc, _main_tycon(tp),
+                                               term.store, tp.decls)))
     print(json.dumps({"terminals": terminals, "distinct_values": len(flats)}))
     return 0 if len(flats) <= 1 else 2
 

@@ -9,20 +9,27 @@ its finished value) and the producing task has run to completion.  A join
 merges the producer's store and location map into the consumer, replaces the
 ivar with the producer's concrete result address, and, for a constructor
 join, stitches the next field in with an indirection cell when it was
-allocated into a fresh region.
+allocated into a fresh region.  A joined producer stays available while
+another task holds its ivar, so every waiter on one ivar can join it.
+
+One `Machine` owns a run's task set and applies fork, step and join actions
+to it in place.  Three loops choose its actions: `run_par` follows a
+schedule, `enumerate_schedules` walks every choice depth-first over machine
+copies, and `run_threads` lets each pool thread drive its own task.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field as dcfield
 
 from . import syntax as S
 from .store import (Store, ConcreteLoc, Concrete, Ivar, Indirection,
                     Tag, Scalar, IndirectionCell, StoreError,
-                    deref_concrete, deref_location, end_witness, alloc_frontier,
+                    deref_concrete, end_witness, alloc_frontier,
                     merge_store, merge_locmap, link_fields)
-from .eval_seq import (SeqState, RunContext, step_seq, Stepped, Value, Blocked,
+from .eval_seq import (SeqState, RunContext, step_seq, Stepped, Blocked,
                        Stuck, SemanticsError, RunResult)
 
 
@@ -34,12 +41,16 @@ class Task:
     rtype: S.Type | None  # located result type; None for the root scalar case
     target: ConcreteLoc | None
     state: SeqState
+    # the ivars in the task's location map; every ivar in its expression is
+    # also there, under the location it was minted for
+    holds: set[str] = dcfield(default_factory=set)
 
     def complete(self) -> bool:
         return S.is_value(self.state.expr)
 
     def copy(self) -> "Task":
-        return Task(self.tid, self.rtype, self.target, self.state.copy())
+        return Task(self.tid, self.rtype, self.target, self.state.copy(),
+                    set(self.holds))
 
 
 @dataclass
@@ -47,6 +58,9 @@ class TaskSet:
     tasks: dict[int, Task] = dcfield(default_factory=dict)
     registry: dict[str, int] = dcfield(default_factory=dict)  # ivar -> producer tid
     next_tid: int = 1
+    # ivar -> producer already joined once, kept while a live task holds the
+    # ivar, so that every other waiter on it can join it too
+    joined: dict[str, Task] = dcfield(default_factory=dict)
 
     def ordered(self) -> list[Task]:
         return [self.tasks[k] for k in sorted(self.tasks)]
@@ -54,19 +68,25 @@ class TaskSet:
     def root(self) -> Task:
         return self.tasks[0]
 
+    def producer(self, ivar: str) -> Task | None:
+        tid = self.registry.get(ivar)
+        if tid is None:
+            return self.joined.get(ivar)
+        return self.tasks.get(tid)
+
     def copy(self) -> "TaskSet":
         return TaskSet({k: t.copy() for k, t in self.tasks.items()},
-                       dict(self.registry), self.next_tid)
+                       dict(self.registry), self.next_tid,
+                       {iv: t.copy() for iv, t in self.joined.items()})
 
 
 ### schedules
 
 @dataclass
 class Schedule:
-    policy: str  # 'never' | 'always' | 'random' | 'trace' | 'exhaustive'
+    policy: str  # 'never' | 'always' | 'random' | 'trace'
     seed: int | None = None
     decisions: list[dict] | None = None  # for 'trace': {step, task, action}
-    bound: int = 0  # for 'exhaustive': max forks
 
     def __post_init__(self):
         if self.policy == "random":
@@ -121,18 +141,6 @@ def _value_ivar(task: Task) -> str | None:
     return None
 
 
-def _probe_step(ctx: RunContext, state: SeqState):
-    """Run one trial step without disturbing metrics or the name supply."""
-    saved_m = dict(ctx.metrics)
-    saved_n = ctx.supply.n
-    try:
-        return step_seq(ctx, state)
-    finally:
-        ctx.metrics.clear()
-        ctx.metrics.update(saved_m)
-        ctx.supply.n = saved_n
-
-
 def _task_actions(ctx: RunContext, ts: TaskSet, task: Task,
                   probe) -> tuple[list[Action], tuple[str, str] | None]:
     """One task's enabled actions (fork, step, join order) and its wait.
@@ -163,67 +171,22 @@ def _task_actions(ctx: RunContext, ts: TaskSet, task: Task,
     return acts, wait
 
 
-def enabled_actions(ctx: RunContext, ts: TaskSet) -> list[Action]:
-    """All transitions the schedule may choose from, in task order."""
-    def probe(task):
-        return _probe_step(ctx, task.state)
-    return [a for task in ts.ordered()
-            for a in _task_actions(ctx, ts, task, probe)[0]]
-
-
 def _join_ready(ts: TaskSet, ivar: str) -> bool:
-    tid = ts.registry.get(ivar)
-    if tid is None or tid not in ts.tasks:
-        return False
-    prod = ts.tasks[tid]
-    if not prod.complete():
+    prod = ts.producer(ivar)
+    if prod is None or not prod.complete():
         return False
     v = prod.state.expr
     return isinstance(v, S.ConcreteLocVal) and isinstance(v.loc.ext, Concrete)
 
 
-def apply_action(ctx: RunContext, ts: TaskSet, action: Action) -> TaskSet:
-    kind, tid = action
-    out = ts.copy()
-    task = out.tasks[tid]
-    if kind == "step":
-        res = step_seq(ctx, task.state)
-        if not isinstance(res, Stepped):
-            raise SemanticsError("Stuck", f"task {tid}: step not enabled ({res})")
-        task.state = res.state
-        return out
-    if kind == "fork":
-        _apply_fork(ctx, out, task)
-        return out
-    if kind == "join":
-        _, need = _task_actions(ctx, out, task,
-                                lambda t: _probe_step(ctx, t.state))
-        if need is None:
-            raise SemanticsError("Stuck", f"task {tid} is not blocked")
-        _apply_join(ctx, out, task, need)
-        return out
-    raise SemanticsError("Stuck", f"unknown action {kind}")
-
-
-def _apply_fork(ctx: RunContext, ts: TaskSet, parent: Task) -> Task:
-    found = _spawn_redex(ctx, parent)
-    assert found is not None
-    child = _fork(ctx, parent, found, ts.next_tid)
-    ts.next_tid += 1
-    ts.tasks[child.tid] = child
-    ts.registry[child.target.ext.name] = child.tid
-    return child
-
-
-def _fork(ctx: RunContext, parent: Task, found: tuple[list[S.Let], S.Let],
-          tid: int) -> Task:
-    """Split the parent at its spawn redex `found`; return the child task.
+def _fork(ctx: RunContext, ts: TaskSet, parent: Task) -> Task:
+    """Split the parent at its spawn redex; register and return the child.
 
     The child produces the let's bound expression at the bound location,
     from a snapshot of the parent's state; the parent continues with the
     location and the let-bound variable replaced by a fresh ivar.
     """
-    outer, e = found
+    outer, e = _spawn_redex(ctx, parent)
     lt = e.ty
     iv = ctx.supply.fresh("iv")
     pst = parent.state
@@ -232,9 +195,11 @@ def _fork(ctx: RunContext, parent: Task, found: tuple[list[S.Let], S.Let],
                            set(pst.nursery), dict(pst.constraints),
                            dict(pst.allocsites))
     region = pst.locmap[lt.loc].region
-    child = Task(tid, lt, ConcreteLoc(region, Ivar(iv), lt.loc), child_state)
+    child = Task(ts.next_tid, lt, ConcreteLoc(region, Ivar(iv), lt.loc),
+                 child_state, set(parent.holds))
     # the parent now sees the bound location (and variable) through the ivar
     pst.locmap[lt.loc] = ConcreteLoc(region, Ivar(iv), lt.loc)
+    parent.holds.add(iv)
     pst.sigma[lt.loc] = lt
     pst.nursery.discard(lt.loc)
     hole = S.ConcreteLocVal(ConcreteLoc(region, Ivar(iv), lt.loc))
@@ -242,25 +207,25 @@ def _fork(ctx: RunContext, parent: Task, found: tuple[list[S.Let], S.Let],
     for enc in reversed(outer):
         inner = S.Let(enc.var, enc.ty, inner, enc.body, enc.spawn)
     pst.expr = inner
+    ts.next_tid += 1
+    ts.tasks[child.tid] = child
+    ts.registry[iv] = child.tid
     ctx.metrics["forks"] += 1
     return child
 
 
 def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
                 need: tuple[str, str]) -> None:
+    """Merge the producer of the needed ivar into the consumer.
+
+    The first join moves the producer from the live tasks to `joined`; a
+    joined producer is dropped once no live task holds its ivar.
+    """
     iv, why = need
-    prod = ts.tasks[ts.registry[iv]]
-    pv = prod.state.expr
-    assert isinstance(pv, S.ConcreteLocVal) and isinstance(pv.loc.ext, Concrete)
-    _merge_join(ctx, consumer.state, prod.state, iv, pv.loc, why)
-    del ts.tasks[prod.tid]
-    del ts.registry[iv]
-    ctx.metrics["joins"] += 1
-
-
-def _merge_join(ctx: RunContext, cst: SeqState, pst: SeqState,
-                iv: str, ploc: ConcreteLoc, why: str) -> None:
-    pv = S.ConcreteLocVal(ploc)
+    prod = ts.producer(iv)
+    ploc = prod.state.expr.loc
+    assert isinstance(ploc.ext, Concrete)
+    pst, cst = prod.state, consumer.state
     cst.store = merge_store(cst.store, pst.store)
     cst.locmap = merge_locmap(cst.locmap, pst.locmap)
     cst.sigma.update(pst.sigma)
@@ -273,12 +238,24 @@ def _merge_join(ctx: RunContext, cst: SeqState, pst: SeqState,
     cst.frontier_notes.update(pst.frontier_notes)
     cst.nursery = (cst.nursery | pst.nursery) - set(cst.sigma)
     # replace the ivar with the producer's concrete result address
-    cst.expr = _resolve_ivar_expr(cst.expr, iv, pv.loc)
+    cst.expr = S.substitute(cst.expr, ivar_map={iv: ploc})
+    consumer.holds = set()
     for l, cl in list(cst.locmap.items()):
-        if isinstance(cl.ext, Ivar) and cl.ext.name == iv:
-            cst.locmap[l] = ConcreteLoc(pv.loc.region, pv.loc.ext, cl.origin)
+        if isinstance(cl.ext, Ivar):
+            if cl.ext.name == iv:
+                cst.locmap[l] = ConcreteLoc(ploc.region, ploc.ext, cl.origin)
+            else:
+                consumer.holds.add(cl.ext.name)
     if why == "datacon":
         _join_link_fields(ctx, cst, iv)
+    if ts.registry.get(iv) == prod.tid:
+        del ts.tasks[prod.tid]
+        del ts.registry[iv]
+        ts.joined[iv] = prod
+    for j in list(ts.joined):
+        if not any(j in t.holds for t in ts.tasks.values()):
+            del ts.joined[j]
+    ctx.metrics["joins"] += 1
 
 
 def _join_link_fields(ctx: RunContext, cst: SeqState, iv: str) -> None:
@@ -307,43 +284,6 @@ def _find_datacon(e: S.Expr) -> S.DataCon | None:
     while isinstance(e, S.Let):
         e = e.bound
     return e if isinstance(e, S.DataCon) else None
-
-
-def _resolve_ivar_expr(e: S.Expr, iv: str, cl: ConcreteLoc) -> S.Expr:
-    if isinstance(e, S.ConcreteLocVal):
-        if isinstance(e.loc.ext, Ivar) and e.loc.ext.name == iv:
-            return S.ConcreteLocVal(ConcreteLoc(cl.region, cl.ext, e.loc.origin))
-        return e
-    if isinstance(e, S.PrimOp):
-        return S.PrimOp(e.op, _resolve_ivar_expr(e.lhs, iv, cl),
-                        _resolve_ivar_expr(e.rhs, iv, cl))
-    if isinstance(e, S.App):
-        return S.App(e.func, e.locargs,
-                     tuple(_resolve_ivar_expr(a, iv, cl) for a in e.args))
-    if isinstance(e, S.DataCon):
-        return S.DataCon(e.tag, e.loc, e.region,
-                         tuple(_resolve_ivar_expr(f, iv, cl) for f in e.fields))
-    if isinstance(e, S.Let):
-        return S.Let(e.var, e.ty, _resolve_ivar_expr(e.bound, iv, cl),
-                     _resolve_ivar_expr(e.body, iv, cl), e.spawn)
-    if isinstance(e, S.LetLoc):
-        return S.LetLoc(e.loc, e.region, e.locexpr,
-                        _resolve_ivar_expr(e.body, iv, cl))
-    if isinstance(e, S.LetRegion):
-        return S.LetRegion(e.region, _resolve_ivar_expr(e.body, iv, cl))
-    if isinstance(e, S.Case):
-        branches = []
-        for b in e.branches:
-            if isinstance(b, S.ConBranch):
-                branches.append(S.ConBranch(b.tag, b.fields,
-                                            _resolve_ivar_expr(b.body, iv, cl)))
-            elif isinstance(b, S.IntBranch):
-                branches.append(S.IntBranch(b.value,
-                                            _resolve_ivar_expr(b.body, iv, cl)))
-            else:
-                branches.append(S.DefaultBranch(_resolve_ivar_expr(b.body, iv, cl)))
-        return S.Case(_resolve_ivar_expr(e.scrut, iv, cl), tuple(branches))
-    return e
 
 
 ### choosing
@@ -375,123 +315,180 @@ def choose_action(sched: Schedule, actions: list[Action], stepno: int) -> Action
     raise SemanticsError("Stuck", f"schedule policy {sched.policy} cannot drive a run")
 
 
-### driving
+### the task machine
 
-def initial_taskset(tp) -> tuple[RunContext, TaskSet]:
-    ctx = RunContext(tp)
-    root = Task(0, None, None, SeqState(Store(), {}, tp.program.main))
-    return ctx, TaskSet(tasks={0: root})
+class Machine:
+    """A run's task set with an incremental ready set.
+
+    Each live task's enabled actions and wait (see `_task_actions`) are
+    cached, along with its next-step probe, so one semantic step is computed
+    once.  After an action only these entries are recomputed: the task that
+    acted, a newly forked child, and the tasks waiting on an ivar whose
+    producer has just completed or been joined (waiters are indexed by
+    ivar).  `enabled()` is the cached entries in task order, the same list a
+    rescan of every task builds, so an action costs no more as the number
+    of live tasks grows.  Every applied action is logged in `decisions`.
+    """
+
+    def __init__(self, tp, implicit_par: bool = False):
+        self.ctx = RunContext(tp, implicit_par=implicit_par)
+        root = Task(0, None, None, SeqState(Store(), {}, tp.program.main))
+        self.ts = TaskSet(tasks={0: root})
+        self.decisions: list[dict] = []
+        self.peak = 1
+        self._probes: dict[int, tuple] = {}  # tid -> (StepResult, metrics delta)
+        # tid -> enabled actions; tids only grow, so insertion order is task order
+        self.actions: dict[int, list[Action]] = {}
+        self.waits: dict[int, tuple[str, str]] = {}  # tid -> (ivar, why) it needs
+        self._waiters: dict[str, set[int]] = {}  # ivar -> tids whose wait is on it
+        self._refresh(root)
+
+    def copy(self) -> "Machine":
+        """An independent machine in the same state.
+
+        It drops the cached probes: a probed step's state becomes the task's
+        state when the step is applied, so it is recomputed on demand.
+        """
+        m = Machine.__new__(Machine)
+        m.ctx = self.ctx.copy()
+        m.ts = self.ts.copy()
+        m.decisions = list(self.decisions)
+        m.peak = self.peak
+        m._probes = {}
+        m.actions = dict(self.actions)
+        m.waits = dict(self.waits)
+        m._waiters = {iv: set(tids) for iv, tids in self._waiters.items()}
+        return m
+
+    def enabled(self) -> list[Action]:
+        return [a for acts in self.actions.values() for a in acts]
+
+    def rescan(self) -> list[Action]:
+        """`enabled()` recomputed from a trial step of every task, without
+        the cache and without disturbing metrics or the name supply: the
+        reference the incremental ready set must agree with."""
+        ctx = self.ctx
+
+        def probe(task: Task):
+            saved_m, saved_n = dict(ctx.metrics), ctx.supply.n
+            try:
+                return step_seq(ctx, task.state)
+            finally:
+                ctx.metrics.clear()
+                ctx.metrics.update(saved_m)
+                ctx.supply.n = saved_n
+
+        return [a for task in self.ts.ordered()
+                for a in _task_actions(ctx, self.ts, task, probe)[0]]
+
+    def finished(self) -> bool:
+        return all(t.complete() for t in self.ts.tasks.values()) \
+            and _value_ivar(self.ts.root()) is None
+
+    def apply(self, act: Action) -> Task | None:
+        """Apply one enabled action in place; return the forked child, if any."""
+        kind, tid = act
+        if act not in self.actions.get(tid, ()):
+            raise SemanticsError("Stuck", f"{act} is not enabled")
+        self.decisions.append({"step": len(self.decisions), "task": tid,
+                               "action": kind})
+        ts = self.ts
+        task = ts.tasks[tid]
+        child = None
+        if kind == "step":
+            if tid not in self._probes:  # dropped by copy()
+                self._probe(task)
+            res, delta = self._probes.pop(tid)
+            task.state = res.state
+            metrics = self.ctx.metrics
+            for k, n in delta.items():
+                metrics[k] = metrics.get(k, 0) + n
+            self._refresh(task)
+        elif kind == "fork":
+            self._probes.pop(tid, None)
+            child = _fork(self.ctx, ts, task)
+            self._refresh(task)
+            self._refresh(child)
+        else:
+            self._probes.pop(tid, None)
+            need = self.waits[tid]
+            ptid = ts.registry.get(need[0])
+            _apply_join(self.ctx, ts, task, need)
+            if ptid is not None:  # the first join on this ivar
+                del self.actions[ptid]
+                self._forget(ptid)
+            self._refresh(task)
+            self._wake(need[0])
+        if task.complete() and task.target is not None \
+                and isinstance(task.target.ext, Ivar):
+            self._wake(task.target.ext.name)
+        self.peak = max(self.peak, len(ts.tasks))
+        return child
+
+    def result(self) -> RunResult:
+        """The finished run: the root's value over every task's merged store."""
+        if not self.finished():
+            raise SemanticsError("NoEnabledTransition",
+                                 "tasks remain but nothing can step")
+        store = None
+        locmap: dict = {}
+        for task in self.ts.ordered():
+            store = task.state.store if store is None \
+                else merge_store(store, task.state.store)
+            locmap = merge_locmap(locmap, task.state.locmap)
+        root = self.ts.root()
+        metrics = dict(self.ctx.metrics)
+        metrics["peak_tasks"] = self.peak
+        metrics["decisions"] = self.decisions
+        final_state = root.state.copy()
+        final_state.store = store
+        final_state.locmap = locmap
+        return RunResult(root.state.expr, store, locmap, metrics,
+                         final_state, [])
+
+    def _probe(self, task: Task):
+        ent = self._probes.get(task.tid)
+        if ent is None:
+            # the trial step counts into its own metrics, added on apply
+            ctx = self.ctx
+            metrics, ctx.metrics = ctx.metrics, defaultdict(int)
+            try:
+                res = step_seq(ctx, task.state)
+            finally:
+                delta, ctx.metrics = ctx.metrics, metrics
+            ent = (res, delta)
+            self._probes[task.tid] = ent
+        return ent[0]
+
+    def _forget(self, tid: int) -> None:
+        old = self.waits.pop(tid, None)
+        if old is not None:
+            self._waiters[old[0]].discard(tid)
+
+    def _refresh(self, task: Task) -> None:
+        self._forget(task.tid)
+        self.actions[task.tid], wait = _task_actions(self.ctx, self.ts, task,
+                                                     self._probe)
+        if wait is not None:
+            self.waits[task.tid] = wait
+            self._waiters.setdefault(wait[0], set()).add(task.tid)
+
+    def _wake(self, iv: str) -> None:
+        for tid in sorted(self._waiters.get(iv, ())):
+            self._refresh(self.ts.tasks[tid])
 
 
 def run_par(tp, sched: Schedule, opts: dict | None = None) -> RunResult:
-    """Drive the task set until every task is complete and the root resolved.
-
-    Applies actions in place over an incremental ready set.  Each live
-    task's enabled actions and wait (see `_task_actions`) are cached, along
-    with its next-step probe, so one semantic step is computed once.  After
-    an action only these entries are recomputed: the task that acted, a
-    newly forked child, and the tasks waiting on an ivar whose producer has
-    just completed or been joined away (waiters are indexed by ivar).  The
-    action list is the cached entries concatenated in task order, the same
-    list `enabled_actions` builds by rescanning every task, so an action
-    costs no more as the number of live tasks grows.
-    """
+    """Drive the machine by `sched` until every task is complete and the
+    root resolved."""
     opts = opts or {}
-    ctx = RunContext(tp, implicit_par=bool(opts.get("implicit_par")))
-    root = Task(0, None, None, SeqState(Store(), {}, tp.program.main))
-    ts = TaskSet(tasks={0: root})
-    decisions: list[dict] = []
+    m = Machine(tp, implicit_par=bool(opts.get("implicit_par")))
     wf_cb = opts.get("wf_callback")
-    peak = 1
-    stepno = 0
-    cache: dict[int, tuple] = {}  # tid -> (StepResult, metrics delta)
-    # tid -> enabled actions; tids only grow, so insertion order is task order
-    entries: dict[int, list[Action]] = {}
-    waits: dict[int, tuple[str, str]] = {}  # tid -> (ivar, why) it needs
-    waiters: dict[str, set[int]] = {}  # ivar -> tids whose wait is on it
-
-    def probe(task: Task):
-        ent = cache.get(task.tid)
-        if ent is None:
-            before = dict(ctx.metrics)
-            res = step_seq(ctx, task.state)
-            delta = {k: ctx.metrics[k] - before.get(k, 0) for k in ctx.metrics}
-            ctx.metrics.clear()
-            ctx.metrics.update(before)
-            ent = (res, delta)
-            cache[task.tid] = ent
-        return ent[0]
-
-    def forget(tid: int) -> None:
-        old = waits.pop(tid, None)
-        if old is not None:
-            waiters[old[0]].discard(tid)
-
-    def refresh(task: Task) -> None:
-        forget(task.tid)
-        entries[task.tid], wait = _task_actions(ctx, ts, task, probe)
-        if wait is not None:
-            waits[task.tid] = wait
-            waiters.setdefault(wait[0], set()).add(task.tid)
-
-    def wake(iv: str) -> None:
-        for tid in sorted(waiters.get(iv, ())):
-            refresh(ts.tasks[tid])
-
-    refresh(root)
-    while True:
-        actions = [a for acts in entries.values() for a in acts]
-        if not actions:
-            if all(t.complete() for t in ts.tasks.values()) \
-                    and _value_ivar(ts.root()) is None:
-                break
-            raise SemanticsError("NoEnabledTransition",
-                                 "tasks remain but nothing can step")
-        act = choose_action(sched, actions, stepno)
-        decisions.append({"step": stepno, "task": act[1], "action": act[0]})
-        kind, tid = act
-        task = ts.tasks[tid]
-        if kind == "step":
-            res, delta = cache.pop(tid)
-            task.state = res.state
-            for k, n in delta.items():
-                ctx.metrics[k] = ctx.metrics.get(k, 0) + n
-            refresh(task)
-        elif kind == "fork":
-            cache.pop(tid, None)
-            child = _apply_fork(ctx, ts, task)
-            refresh(task)
-            refresh(child)
-        else:
-            cache.pop(tid, None)
-            need = waits[tid]
-            ptid = ts.registry[need[0]]
-            _apply_join(ctx, ts, task, need)
-            del entries[ptid]
-            forget(ptid)
-            refresh(task)
-            wake(need[0])
-        if task.complete() and task.target is not None \
-                and isinstance(task.target.ext, Ivar):
-            wake(task.target.ext.name)
-        peak = max(peak, len(ts.tasks))
-        stepno += 1
+    while actions := m.enabled():
+        m.apply(choose_action(sched, actions, len(m.decisions)))
         if wf_cb is not None:
-            wf_cb(ctx, ts)
-    store = None
-    locmap: dict = {}
-    for task in ts.ordered():
-        store = task.state.store if store is None else merge_store(store, task.state.store)
-        locmap = merge_locmap(locmap, task.state.locmap)
-    root = ts.root()
-    metrics = dict(ctx.metrics)
-    metrics["peak_tasks"] = peak
-    metrics["decisions"] = decisions
-    final_state = root.state.copy()
-    final_state.store = store or Store()
-    final_state.locmap = locmap
-    return RunResult(root.state.expr, final_state.store, locmap, metrics,
-                     final_state, [])
+            wf_cb(m.ctx, m.ts)
+    return m.result()
 
 
 ### well-formedness
@@ -521,8 +518,10 @@ def check_wellformed(tts, ts: TaskSet, ctx: RunContext) -> list[str]:
             v.append(f"{label}: locations {sorted(both)} both materialized and in nursery")
         for l, cl in st.locmap.items():
             if isinstance(cl.ext, Ivar):
-                # the ivar side of the exclusive-or: a unique producer must exist
-                if cl.ext.name not in ts.registry:
+                # the ivar side of the exclusive-or: a unique producer must
+                # exist, live or joined
+                if cl.ext.name not in ts.registry \
+                        and cl.ext.name not in ts.joined:
                     v.append(f"{label}: {l} maps to unknown ivar {cl.ext.name}")
                 continue
             dcl = deref_concrete(cl)
@@ -723,46 +722,33 @@ def enumerate_schedules(tp, bound: int, state_cap: int = 200_000,
     ivars, and locations by first appearance.  Yields a Terminal per distinct
     final configuration reached.
     """
-    ctx0 = RunContext(tp)
-    root = Task(0, None, None, SeqState(Store(), {}, tp.program.main))
-    start = TaskSet(tasks={0: root})
     seen: set[int] = set()
-    stack: list[tuple[TaskSet, int, list[dict]]] = [(start, ctx0.supply.n, [])]
-    visited = 0
+    stack = [Machine(tp)]
     while stack:
-        ts, supply_n, path = stack.pop()
-        h = canonical_hash(ts)
+        m = stack.pop()
+        h = canonical_hash(m.ts)
         if h in seen:
             continue
         seen.add(h)
-        visited += 1
-        if visited > state_cap:
+        if len(seen) > state_cap:
             raise BudgetExceeded(f"more than {state_cap} states")
-        ctx = RunContext(tp)
-        ctx.supply.n = supply_n
-        ctx.metrics["forks"] = sum(1 for d in path if d["action"] == "fork")
         if wf_callback is not None:
-            wf_callback(ctx, ts)
-        actions = enabled_actions(ctx, ts)
-        if ctx.metrics["forks"] >= bound:
+            wf_callback(m.ctx, m.ts)
+        actions = m.enabled()
+        if m.ctx.metrics["forks"] >= bound:
             actions = [a for a in actions if a[0] != "fork"]
         if not actions:
-            if all(t.complete() for t in ts.tasks.values()) \
-                    and _value_ivar(ts.root()) is None:
-                store = None
-                for task in ts.ordered():
-                    store = task.state.store if store is None \
-                        else merge_store(store, task.state.store)
-                yield Terminal(path, ts.root().state.expr, store or Store())
-                continue
-            raise SemanticsError("NoEnabledTransition",
-                                 f"deadlock after {path}")
-        for act in actions:
-            ctx2 = RunContext(tp)
-            ctx2.supply.n = supply_n
-            ts2 = apply_action(ctx2, ts, act)
-            step = {"step": len(path), "task": act[1], "action": act[0]}
-            stack.append((ts2, ctx2.supply.n, path + [step]))
+            res = m.result()  # a deadlock raises NoEnabledTransition
+            yield Terminal(m.decisions, res.value, res.store)
+            continue
+        # the last action is popped first; it takes `m` itself, once the
+        # other actions have taken their copies
+        for act in actions[:-1]:
+            m2 = m.copy()
+            m2.apply(act)
+            stack.append(m2)
+        m.apply(actions[-1])
+        stack.append(m)
 
 
 ### canonical hashing
@@ -847,7 +833,7 @@ def canonical_hash(ts: TaskSet) -> int:
             return str(hv.value)
         return f"→{name(hv.region)}:{hv.index}"
 
-    for task in ts.ordered():
+    def append_task(task: Task) -> None:
         st = task.state
         parts.append(f"T{expr_repr(st.expr)}")
         parts.append("G" + cl_repr(task.target))
@@ -857,6 +843,13 @@ def canonical_hash(ts: TaskSet) -> int:
             parts.append(f"R{name(r)}[{cells}]")
         for l in sorted(st.locmap, key=name):
             parts.append(f"M{name(l)}={cl_repr(st.locmap[l])}")
+
+    for task in ts.ordered():
+        append_task(task)
+    # a live task holds every joined ivar, so each already has its name
+    for iv in sorted(ts.joined, key=name):
+        parts.append(f"J{name(iv)}")
+        append_task(ts.joined[iv])
     return hash("\n".join(parts))
 
 
@@ -865,98 +858,70 @@ def canonical_hash(ts: TaskSet) -> int:
 def run_threads(tp, max_workers: int, opts: dict | None = None) -> RunResult:
     """Run tasks on an OS thread pool; spawn-flagged lets always fork.
 
-    Tasks exchange only immutable snapshots at joins, so interleaving order
-    is unconstrained; the final flattened value and the extra-region count
-    match the simulated always-fork schedule.  Scheduling is work-first, as
-    in Cilk: a forked child is queued as unstarted, a join on a child that
-    no thread has taken yet runs it inline, and a pool thread that finds its
-    child already taken returns at once.  So no thread waits on a child that
+    Every pool thread drives its own task through the shared machine under
+    one lock, by the always-fork policy restricted to that task: fork, then
+    step, then join.  The machine logs each action, so the run can be
+    replayed with `trace_schedule`.  Scheduling is work-first, as in Cilk: a
+    forked child is queued as unstarted, a task that has nothing left but a
+    wait runs an unstarted producer inline, and a pool thread that finds its
+    task already taken returns at once.  So no thread waits on a child that
     is still queued, and any pool size finishes.
     """
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
     opts = opts or {}
-    ctx = RunContext(tp, implicit_par=bool(opts.get("implicit_par")))
+    m = Machine(tp, implicit_par=bool(opts.get("implicit_par")))
     lock = threading.Lock()
-    results: dict[str, tuple[SeqState, ConcreteLoc]] = {}
-    events: dict[str, threading.Event] = {}
-    unstarted: dict[str, Task] = {}  # ivar -> forked child no thread has taken
-    errors: list[BaseException] = []
-    peak = [1]
-    live = [1]
-
+    done: dict[int, threading.Event] = {}  # tid -> set when its thread stops
+    unstarted: set[int] = set()  # forked tids no thread has taken
+    failed: set[int] = set()
+    errors: list[Exception] = []
     pool = ThreadPoolExecutor(max_workers=max(1, max_workers))
 
-    def run_task(task: Task):
+    def drive(tid: int) -> None:
+        while True:
+            with lock:
+                acts = m.actions.get(tid)
+                if acts is None:
+                    return  # complete, and already joined
+                if acts:
+                    child = m.apply(acts[0])
+                    if child is not None:
+                        done[child.tid] = threading.Event()
+                        unstarted.add(child.tid)
+                        pool.submit(take, child.tid)
+                    continue
+                wait = m.waits.get(tid)
+                if wait is None:
+                    return  # complete
+                ptid = m.ts.registry.get(wait[0])
+            if ptid is None:
+                raise SemanticsError("Stuck", f"no producer for ivar {wait[0]}")
+            take(ptid)
+            done[ptid].wait()
+            if ptid in failed:
+                raise SemanticsError("Stuck", f"producer of ivar {wait[0]} failed")
+
+    def take(tid: int) -> None:
+        with lock:
+            if tid not in unstarted:
+                return  # another thread runs it
+            unstarted.discard(tid)
         try:
-            while True:
-                found = _spawn_redex(ctx, task)
-                if found is not None:
-                    with lock:
-                        child = _fork(ctx, task, found, -1)
-                        iv = child.target.ext.name
-                        events[iv] = threading.Event()
-                        unstarted[iv] = child
-                        live[0] += 1
-                        peak[0] = max(peak[0], live[0])
-                    pool.submit(take_and_run, iv)
-                    continue
-                with lock:
-                    res = step_seq(ctx, task.state)
-                if isinstance(res, Stepped):
-                    task.state = res.state
-                    continue
-                if isinstance(res, Blocked):
-                    join(task, res.ivar, res.why)
-                    continue
-                if isinstance(res, Stuck):
-                    raise SemanticsError("Stuck", res.reason)
-                iv = _value_ivar(task)
-                if iv is not None:
-                    join(task, iv, "value")
-                    continue
-                return task
-        except BaseException as exc:  # surfaced by the caller
+            drive(tid)
+        except Exception as exc:
+            failed.add(tid)
             errors.append(exc)
-            raise
         finally:
-            with lock:
-                live[0] -= 1
+            done[tid].set()
 
-    def take_and_run(iv: str) -> None:
-        with lock:
-            child = unstarted.pop(iv, None)
-        if child is None:
-            return  # a join already ran it inline
-        try:
-            done = run_task(child)
-            with lock:
-                results[iv] = (done.state, done.state.expr.loc)
-        finally:
-            events[iv].set()
-
-    def join(task: Task, iv: str, why: str) -> None:
-        ev = events.get(iv)
-        if ev is None:
-            raise SemanticsError("Stuck", f"no producer for ivar {iv}")
-        take_and_run(iv)
-        ev.wait()
-        with lock:
-            if iv not in results:
-                raise SemanticsError("Stuck", f"producer of ivar {iv} failed")
-            pst, ploc = results[iv]
-            _merge_join(ctx, task.state, pst, iv, ploc, why)
-            ctx.metrics["joins"] += 1
-
-    root = Task(0, None, None, SeqState(Store(), {}, tp.program.main))
     try:
-        final = run_task(root)
+        drive(0)
+    except Exception as exc:
+        errors.append(exc)
     finally:
         pool.shutdown(wait=True)
     if errors:
-        raise errors[0]
-    metrics = dict(ctx.metrics)
-    metrics["peak_tasks"] = peak[0]
-    return RunResult(final.state.expr, final.state.store, final.state.locmap,
-                     metrics, final.state, [])
+        raise errors[0]  # the first failure, in whichever thread it ran
+    return m.result()

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field as dcfield
 from . import syntax as S
 from .store import (Store, LocationMap, ConcreteLoc, Concrete, Ivar, Indirection,
                     Tag, Scalar, IndirectionCell, Decls, StoreError,
-                    deref_location, deref_concrete, end_witness, write_cell,
-                    alloc_frontier)
+                    deref_location, deref_concrete, end_witness, write_cell)
 
 
 class SemanticsError(Exception):
@@ -93,6 +92,15 @@ class RunContext:
         self.metrics = {"steps": 0, "cells_written": 0, "regions_created": 0,
                         "extra_regions": 0, "indirections": 0,
                         "forks": 0, "joins": 0}
+
+    def copy(self) -> "RunContext":
+        """The same program and options, with its own supply and metrics."""
+        out = RunContext.__new__(RunContext)
+        out.__dict__.update(self.__dict__)
+        out.supply = S.NameSupply()
+        out.supply.n = self.supply.n
+        out.metrics = dict(self.metrics)
+        return out
 
 
 def step_seq(ctx: RunContext, st: SeqState) -> StepResult:

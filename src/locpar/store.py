@@ -87,24 +87,22 @@ HeapValue = Tag | Scalar | IndirectionCell
 
 @dataclass
 class Store:
-    """region -> heap (cell index -> heap value), plus per-region refcounts.
+    """region -> heap (cell index -> heap value).
 
     Region dict insertion order is creation order; dumps and merges rely on it.
     """
 
     regions: dict[str, dict[int, HeapValue]] = field(default_factory=dict)
-    refcounts: dict[str, int] = field(default_factory=dict)
 
     def copy(self) -> "Store":
         """A new region dict over the same (shared, never mutated) heaps."""
-        return Store(dict(self.regions), dict(self.refcounts))
+        return Store(dict(self.regions))
 
     def add_region(self, r: str) -> "Store":
         if r in self.regions:
             raise StoreError("DuplicateRegion", f"region {r} already exists")
         s = self.copy()
         s.regions[r] = {}
-        s.refcounts[r] = 1
         return s
 
     def cell(self, r: str, i: int) -> HeapValue | None:
@@ -231,7 +229,6 @@ def merge_store(s1: Store, s2: Store) -> Store:
         mine = out.regions.get(r)
         if mine is None:
             out.regions[r] = heap
-            out.refcounts[r] = s2.refcounts.get(r, 1)
             continue
         if mine is heap:
             continue
@@ -295,45 +292,3 @@ def alloc_frontier(r: str, s: Store) -> int:
         return -1
     return max(heap)
 
-
-### region reclamation
-
-def release_region(s: Store, r: str) -> Store:
-    """Drop one reference; at zero, reclaim and cascade through outgoing links."""
-    if r not in s.refcounts:
-        raise StoreError("UnknownRegion", f"region {r} does not exist")
-    if s.refcounts[r] < 1:
-        raise StoreError("UnknownRegion", f"region {r} already reclaimed")
-    out = s.copy()
-    _decref(out, r)
-    return out
-
-
-def _decref(s: Store, r: str) -> None:
-    s.refcounts[r] -= 1
-    if s.refcounts[r] > 0:
-        return
-    heap = s.regions.pop(r, {})
-    del s.refcounts[r]
-    for hv in heap.values():
-        if isinstance(hv, IndirectionCell) and hv.region in s.refcounts:
-            _decref(s, hv.region)
-
-
-def audit_dangling(s: Store) -> list[str]:
-    """Regions targeted by an indirection in a live region but themselves gone."""
-    missing = []
-    for r, heap in s.regions.items():
-        for hv in heap.values():
-            if isinstance(hv, IndirectionCell) and hv.region not in s.regions:
-                missing.append(hv.region)
-    return missing
-
-
-def retain_region(s: Store, r: str) -> Store:
-    """Add one reference, e.g. when an inbound indirection is created."""
-    if r not in s.refcounts:
-        raise StoreError("UnknownRegion", f"region {r} does not exist")
-    out = s.copy()
-    out.refcounts[r] += 1
-    return out

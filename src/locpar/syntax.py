@@ -9,10 +9,9 @@ locations, and regions start lower-case.  `--` begins a line comment.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .store import ConcreteLoc, Concrete, Ivar, Indirection, Decls
+from .store import ConcreteLoc, Ivar, Decls
 
 
 ### types
@@ -693,9 +692,6 @@ def print_program(p: Program) -> str:
 
 ### fresh names
 
-_global_counter = itertools.count()
-
-
 class NameSupply:
     """Deterministic fresh-name source; evaluation runs carry their own."""
 
@@ -709,24 +705,19 @@ class NameSupply:
         return name
 
 
-def _default_supply() -> NameSupply:
-    ns = NameSupply()
-    ns.n = next(_global_counter) * 1000
-    return ns
-
-
 ### substitution
 
 def substitute(e: Expr,
                var_map: dict[str, Expr] | None = None,
                loc_map: dict[str, str] | None = None,
                reg_map: dict[str, str] | None = None,
-               ivar_map: dict[str, int] | None = None) -> Expr:
+               ivar_map: dict[str, ConcreteLoc] | None = None) -> Expr:
     """Simultaneous capture-avoiding substitution.
 
     var_map sends variables to value expressions, loc_map and reg_map rename
-    symbolic locations and regions, and ivar_map replaces resolved ivars inside
-    concrete-location values with their cell index.
+    symbolic locations and regions, and ivar_map resolves ivars inside
+    concrete-location values: each takes the region and extended index of
+    the address its ivar maps to, and keeps its own origin.
     """
     vm = dict(var_map or {})
     lm = dict(loc_map or {})
@@ -738,19 +729,20 @@ def substitute(e: Expr,
 
 
 def _subst_ty(ty: Type, lm: dict[str, str], rm: dict[str, str]) -> Type:
-    if isinstance(ty, PackedType):
+    if isinstance(ty, PackedType) and (ty.loc in lm or ty.region in rm):
         return PackedType(ty.tycon, lm.get(ty.loc, ty.loc), rm.get(ty.region, ty.region))
     return ty
 
 
-def _subst_cl(cl: ConcreteLoc, im: dict[str, int]) -> ConcreteLoc:
+def _subst_cl(cl: ConcreteLoc, im: dict[str, ConcreteLoc]) -> ConcreteLoc:
     if isinstance(cl.ext, Ivar) and cl.ext.name in im:
-        return ConcreteLoc(cl.region, Concrete(im[cl.ext.name]), cl.origin)
+        to = im[cl.ext.name]
+        return ConcreteLoc(to.region, to.ext, cl.origin)
     return cl
 
 
 def _subst(e: Expr, vm: dict[str, Expr], lm: dict[str, str],
-           rm: dict[str, str], im: dict[str, int]) -> Expr:
+           rm: dict[str, str], im: dict[str, ConcreteLoc]) -> Expr:
     if isinstance(e, Var):
         return vm.get(e.name, e)
     if isinstance(e, IntLit):
@@ -805,21 +797,20 @@ def _subst(e: Expr, vm: dict[str, Expr], lm: dict[str, str],
 
 ### freshening
 
-def freshen(fd: FunDecl, supply: NameSupply | None = None) -> FunDecl:
+def freshen(fd: FunDecl, supply: NameSupply) -> FunDecl:
     """Rename every bound variable, location, and region to a fresh name."""
-    ns = supply or _default_supply()
     lm = {}
     rm = {}
     for l, r in fd.locparams:
-        lm.setdefault(l, ns.fresh(l))
-        rm.setdefault(r, ns.fresh(r))
+        lm.setdefault(l, supply.fresh(l))
+        rm.setdefault(r, supply.fresh(r))
     vm: dict[str, Expr] = {}
     for x, _ in fd.params:
-        vm[x] = Var(ns.fresh(x))
+        vm[x] = Var(supply.fresh(x))
     locparams = tuple((lm[l], rm[r]) for l, r in fd.locparams)
     params = tuple((vm[x].name, _subst_ty(ty, lm, rm))  # type: ignore[union-attr]
                    for x, ty in fd.params)
-    body = _freshen_expr(fd.body, vm, lm, rm, ns)
+    body = _freshen_expr(fd.body, vm, lm, rm, supply)
     return FunDecl(fd.name, locparams, params, _subst_ty(fd.ret, lm, rm), body)
 
 
@@ -889,17 +880,16 @@ def _freshen_expr(e: Expr, vm: dict[str, Expr], lm: dict[str, str],
     raise TypeError(f"not an expression: {e!r}")
 
 
-def instantiate(fd: FunDecl, locargs, args, supply: NameSupply | None = None) -> Expr:
+def instantiate(fd: FunDecl, locargs, args, supply: NameSupply) -> Expr:
     """Instantiate a function body in one pass: formals map to the actual
     locations/regions/arguments while every local binder gets a fresh name."""
-    ns = supply or _default_supply()
     lm: dict[str, str] = {}
     rm: dict[str, str] = {}
     for (fl, fr), (al, ar) in zip(fd.locparams, locargs):
         lm[fl] = al
         rm[fr] = ar
     vm: dict[str, Expr] = {x: arg for (x, _), arg in zip(fd.params, args)}
-    return _freshen_expr(fd.body, vm, lm, rm, ns)
+    return _freshen_expr(fd.body, vm, lm, rm, supply)
 
 
 ### alpha equivalence

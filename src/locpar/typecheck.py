@@ -1,4 +1,4 @@
-"""Static semantics: expression, program, and taskset typing.
+"""Static semantics: expression and program typing.
 
 The expression judgment threads two effect environments, the allocation sites
 A (region -> location the next value in that region must be written at) and
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dcfield
 
 from . import syntax as S
-from .store import ConcreteLoc, Concrete, Ivar, Indirection, Decls
+from .store import Ivar, Decls
 
 
 class LocTypeError(Exception):
@@ -47,13 +47,6 @@ class TypeState:
                          sigma if sigma is not None else self.sigma,
                          constraints if constraints is not None else self.constraints,
                          self.allocsites, self.nursery)
-
-
-@dataclass
-class TaskTypeState:
-    """Per-task environment maps, keyed by the task's target concrete location."""
-
-    states: dict[object, TypeState] = dcfield(default_factory=dict)
 
 
 @dataclass
@@ -431,50 +424,3 @@ def _check_fundecl(fd: S.FunDecl, p: S.Program, decls: Decls) -> None:
         raise LocTypeError("TypeMismatch",
                            f"{fd.name} never writes its output location {ret.loc}", ctx)
 
-
-### taskset typing
-
-def typecheck_taskset(tts: TaskTypeState, taskset, prog: S.Program,
-                      decls: Decls) -> TaskTypeState:
-    """Check every task's expression under its own environments.
-
-    taskset is an eval_par.TaskSet; each task's target keys its TypeState.
-    Returns the threaded maps; raises LocTypeError tagged with the target.
-    """
-    out = TaskTypeState()
-    for task in taskset.ordered():
-        key = task.target
-        ts = tts.states.get(key)
-        if ts is None:
-            raise LocTypeError("TypeMismatch",
-                               f"task {task.tid} target {key} has no environments",
-                               f"task {task.tid}")
-        ctx = f"task {task.tid}"
-        ts2 = TypeState(dict(ts.gamma), dict(ts.sigma), dict(ts.constraints),
-                        dict(ts.allocsites), set(ts.nursery))
-        _, _, ty = typecheck_expr(ts2, task.state.expr, prog, decls, ctx)
-        want = task.rtype
-        if want is not None and not _ty_compatible(want, ty):
-            raise LocTypeError("TypeMismatch",
-                               f"task {task.tid} has type {ty}, declared {want}", ctx)
-        out.states[key] = ts2
-    return out
-
-
-def _ty_compatible(want: S.Type, got: S.Type) -> bool:
-    if _is_int(want) and _is_int(got):
-        return True
-    if isinstance(want, S.PackedType) and isinstance(got, S.PackedType):
-        return want.tycon == got.tycon
-    return False
-
-
-def task_type_state(taskset) -> TaskTypeState:
-    """Build the per-task environment maps from runtime-tracked task state."""
-    tts = TaskTypeState()
-    for task in taskset.ordered():
-        st = task.state
-        tts.states[task.target] = TypeState(
-            gamma={}, sigma=dict(st.sigma), constraints=dict(st.constraints),
-            allocsites=dict(st.allocsites), nursery=set(st.nursery))
-    return tts

@@ -99,6 +99,17 @@ class TestRunPar:
                                "--mode", "par", "--threads", "2")
         assert code == 0 and out.startswith("value at (")
 
+    def test_threads_trace_replays(self, capsys, tmp_path):
+        trace = tmp_path / "threads.jsonl"
+        prog = str(EXAMPLES / "buildtree.lcp")
+        code, out, _ = run_cli(capsys, "run", prog, "--mode", "par",
+                               "--threads", "2", "--trace", str(trace),
+                               "--dump-heap")
+        assert code == 0 and trace.read_text()
+        code2, out2, _ = run_cli(capsys, "run", prog, "--mode", "par",
+                                 "--schedule", f"trace:{trace}", "--dump-heap")
+        assert code2 == 0 and out2 == out
+
     def test_bad_schedule_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),
                                "--mode", "par", "--schedule", "sometimes")

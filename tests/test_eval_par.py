@@ -10,7 +10,7 @@ from conftest import GOOD_EXAMPLES
 from locpar import eval_par as P
 from locpar import syntax as S
 from locpar.eval_seq import SemanticsError, run_seq, verify_frontier_notes
-from locpar.store import IndirectionCell, Scalar, Tag
+from locpar.store import IndirectionCell, Ivar, Scalar, Tag
 from locpar.typecheck import typecheck_program
 
 
@@ -137,32 +137,27 @@ class TestEnumeration:
 
     def test_canonical_hash_stable_and_sensitive(self, load_program):
         tp = load_program("constfold.lcp")
-        ctx, ts = P.initial_taskset(tp)
-        h0 = P.canonical_hash(ts)
-        assert P.canonical_hash(ts.copy()) == h0
-        act = P.enabled_actions(ctx, ts)[0]
-        ts2 = P.apply_action(ctx, ts, act)
-        assert P.canonical_hash(ts2) != h0
+        m = P.Machine(tp)
+        h0 = P.canonical_hash(m.ts)
+        assert P.canonical_hash(m.copy().ts) == h0
+        m.apply(m.enabled()[0])
+        assert P.canonical_hash(m.ts) != h0
 
     def test_canonical_hash_ignores_fresh_name_counters(self, load_program):
         # two machines whose fresh-name counters start at different offsets
         # walk through alpha-equivalent states with equal hashes
         tp = load_program("constfold.lcp")
-        ctx_a, ts_a = P.initial_taskset(tp)
-        ctx_b, ts_b = P.initial_taskset(tp)
+        a, b = P.Machine(tp), P.Machine(tp)
         for _ in range(5):
-            ctx_b.supply.fresh("skew")
+            b.ctx.supply.fresh("skew")
         for _ in range(12):
-            ts_a = P.apply_action(ctx_a, ts_a,
-                                  P.enabled_actions(ctx_a, ts_a)[0])
-            ts_b = P.apply_action(ctx_b, ts_b,
-                                  P.enabled_actions(ctx_b, ts_b)[0])
-        assert P.canonical_hash(ts_a) == P.canonical_hash(ts_b)
+            a.apply(a.enabled()[0])
+            b.apply(b.enabled()[0])
+        assert P.canonical_hash(a.ts) == P.canonical_hash(b.ts)
 
 
 # Two tasks wait on one ivar: main cases on t while the spawned copy reads t.
-# The first join removes t's producer, so the other waiter's join must drop
-# out of the action list.
+# Whichever joins t first, the other must still be able to join it.
 TWO_WAITERS = """
 data Tree = Leaf Int | Node Tree Tree
 
@@ -194,24 +189,34 @@ SCHEDULES = [P.never_fork, P.always_fork] + \
     [lambda k=k: P.random_schedule(k) for k in range(5)]
 
 
-def assert_run_par_matches_rescan(tp, make_schedule):
-    """run_par keeps its action list incrementally; a driver that rescans
-    every task before each action must make the same decisions and stop in
-    the same way."""
-    ctx, ts = P.initial_taskset(tp)
+def two_waiters():
+    return typecheck_program(S.parse_program(TWO_WAITERS))
+
+
+def assert_ready_set_matches_rescan(tp, make_schedule):
+    """The machine keeps its action list incrementally; before every action
+    it must equal a rescan of every task, and the run must finish as
+    run_par does."""
+    m = P.Machine(tp)
     sched = make_schedule()
-    rescan = []
-    while actions := P.enabled_actions(ctx, ts):
-        kind, tid = P.choose_action(sched, actions, len(rescan))
-        rescan.append({"step": len(rescan), "task": tid, "action": kind})
-        ts = P.apply_action(ctx, ts, (kind, tid))
-    if all(t.complete() for t in ts.tasks.values()) \
-            and P._value_ivar(ts.root()) is None:
-        assert P.run_par(tp, make_schedule()).metrics["decisions"] == rescan
-    else:
-        with pytest.raises(SemanticsError) as err:
-            P.run_par(tp, P.trace_schedule(rescan))
-        assert err.value.code == "NoEnabledTransition"
+    while True:
+        actions = m.enabled()
+        assert actions == m.rescan()
+        # each task holds exactly the ivars in its location map, and a joined
+        # producer is kept exactly while a live task holds its ivar
+        held = set()
+        for task in m.ts.tasks.values():
+            assert task.holds == {cl.ext.name for cl in task.state.locmap.values()
+                                  if isinstance(cl.ext, Ivar)}
+            held |= task.holds
+        assert set(m.ts.joined) == held - set(m.ts.registry)
+        if not actions:
+            break
+        m.apply(P.choose_action(sched, actions, len(m.decisions)))
+    assert m.finished()
+    res = P.run_par(tp, make_schedule())
+    assert res.metrics["decisions"] == m.decisions
+    return res
 
 
 class TestIncrementalReadySet:
@@ -219,21 +224,86 @@ class TestIncrementalReadySet:
     def test_run_par_chooses_as_a_full_rescan(self, load_program, name):
         tp = load_program(name)
         for mk in SCHEDULES:
-            assert_run_par_matches_rescan(tp, mk)
+            assert_ready_set_matches_rescan(tp, mk)
 
     def test_joined_away_ivar_leaves_its_other_waiters(self):
-        tp = typecheck_program(S.parse_program(TWO_WAITERS))
+        tp = two_waiters()
+        assert run_seq(tp).value.value == 10
         for mk in SCHEDULES:
-            assert_run_par_matches_rescan(tp, mk)
+            assert assert_ready_set_matches_rescan(tp, mk).value.value == 10
+
+
+class TestMachine:
+    @pytest.mark.parametrize("name", ["constfold.lcp", "countnodes.lcp"])
+    def test_copies_at_every_state_finish_alike(self, load_program,
+                                                canonical, name):
+        # a copy made at any state and run to the end must leave its source
+        # able to finish the same way: copies share no state a fork or a
+        # join mutates in place (a copy re-probes, so its fresh names differ)
+        tp = load_program(name)
+        ref = P.run_par(tp, P.always_fork())
+        want = canonical(tp, ref.value, ref.store)
+        m = P.Machine(tp)
+        for d in ref.metrics["decisions"]:
+            c = m.copy()
+            for d2 in ref.metrics["decisions"][len(c.decisions):]:
+                c.apply((d2["action"], d2["task"]))
+            res = c.result()
+            assert canonical(tp, res.value, res.store) == want
+            m.apply((d["action"], d["task"]))
+        assert m.result().store.dump() == ref.store.dump()
+
+    def test_disabled_action_is_refused(self, load_program):
+        m = P.Machine(load_program("constfold.lcp"))
+        with pytest.raises(SemanticsError):
+            m.apply(("join", 0))
+        assert m.decisions == []
+
+
+class TestTwoWaiters:
+    def test_every_explored_terminal_gives_the_sum(self):
+        tp = two_waiters()
+        bad = []
+
+        def wf_cb(ctx, ts):
+            bad.extend(P.check_wellformed(tp, ts, ctx))
+
+        terms = list(P.enumerate_schedules(tp, 2, wf_callback=wf_cb))
+        assert terms and all(t.value.value == 10 for t in terms)
+        assert bad == []
+
+    def test_hash_sees_a_joined_producer(self):
+        # after the first join on t, its producer is kept for the other
+        # waiter, and a state without it is a different state
+        m = P.Machine(two_waiters())
+        while not m.ts.joined:
+            m.apply(P.choose_action(P.always_fork(), m.enabled(), 0))
+        c = m.copy()
+        c.ts.joined.clear()
+        assert P.canonical_hash(c.ts) != P.canonical_hash(m.ts)
+        assert P.check_wellformed(None, m.ts, m.ctx) == []
+        assert any("unknown ivar" in v
+                   for v in P.check_wellformed(None, c.ts, c.ctx))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_threads_give_the_sum(self, workers):
+        assert run_threads_bounded(two_waiters(), workers).value.value == 10
 
 
 def run_threads_bounded(tp, workers, seconds=60):
-    """run_threads in a daemon thread, so that a deadlock fails the test."""
+    """run_threads in a daemon thread, so that a deadlock fails the test.
+    Frequent thread switches make a lost update to shared state likely to
+    show."""
     box = {}
     th = threading.Thread(target=lambda: box.update(res=P.run_threads(tp, workers)),
                           daemon=True)
-    th.start()
-    th.join(seconds)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        th.start()
+        th.join(seconds)
+    finally:
+        sys.setswitchinterval(interval)
     assert not th.is_alive(), f"run_threads with {workers} workers hung"
     return box["res"]
 
@@ -253,16 +323,10 @@ class TestThreads:
     def test_fewer_workers_than_live_tasks_finish(self, load_program,
                                                   canonical, workers):
         # buildtree forks 15 times; a pool thread blocked on a child that is
-        # still queued behind it must not stall the run.  Frequent thread
-        # switches make a lost update to the unstarted set likely to show.
+        # still queued behind it must not stall the run
         tp = load_program("buildtree.lcp")
         ref = P.run_par(tp, P.always_fork())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            res = run_threads_bounded(tp, workers)
-        finally:
-            sys.setswitchinterval(interval)
+        res = run_threads_bounded(tp, workers)
         assert canonical(tp, res.value, res.store) == \
             canonical(tp, ref.value, ref.store)
         m = res.metrics
@@ -272,6 +336,17 @@ class TestThreads:
         tp = load_program("constfold.lcp")
         assert P.run_par(tp, P.always_fork()).metrics["peak_tasks"] == 2
         assert run_threads_bounded(tp, 2).metrics["peak_tasks"] == 2
+
+    @pytest.mark.parametrize("name", ["buildtree.lcp", "constfold.lcp"])
+    def test_threads_run_replays_as_a_trace(self, load_program, name):
+        # one machine: the threads run's decisions are a valid schedule that
+        # reproduces its heap byte for byte
+        tp = load_program(name)
+        res = run_threads_bounded(tp, 2)
+        replay = P.run_par(tp, P.trace_schedule(res.metrics["decisions"]))
+        assert replay.store.dump() == res.store.dump()
+        for k in ("forks", "joins", "extra_regions"):
+            assert replay.metrics[k] == res.metrics[k]
 
 
 class TestEndTracking:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from conftest import EXAMPLES, GOOD_EXAMPLES
 
 from locpar import syntax as S
+from locpar.store import Concrete, ConcreteLoc, Indirection, Ivar
 
 
 class TestParsePrintRoundTrip:
@@ -73,6 +74,24 @@ class TestSubstitution:
         # the bound occurrence of x refers to the let binder, not the
         # substituted variable, so the body must be untouched
         assert S.alpha_equivalent(out, e)
+
+    def test_ivar_resolves_into_another_region(self):
+        # a producer may have written its value behind an indirection in a
+        # region other than the one the ivar was minted in; every hole takes
+        # that region and index and keeps its own origin
+        def hole(origin):
+            return S.ConcreteLocVal(ConcreteLoc("r", Ivar("iv%0"), origin))
+        e = S.Let("x", S.PackedType("T", "la", "r"), hole("la"),
+                  S.PrimOp("+", hole("lb"), S.ConcreteLocVal(
+                      ConcreteLoc("r", Ivar("iv%1"), "lc"))))
+        to = ConcreteLoc("r2", Indirection("r3", 4), "lp")
+        out = S.substitute(e, ivar_map={"iv%0": to})
+        assert out.bound.loc == ConcreteLoc("r2", Indirection("r3", 4), "la")
+        assert out.body.lhs.loc == ConcreteLoc("r2", Indirection("r3", 4), "lb")
+        assert out.body.rhs == e.body.rhs
+        out2 = S.substitute(e, ivar_map={"iv%1": ConcreteLoc("q", Concrete(7))})
+        assert out2.body.rhs.loc == ConcreteLoc("q", Concrete(7), "lc")
+        assert out2.bound == e.bound
 
     def test_freshen_is_alpha_equivalent(self):
         prog = S.parse_program((EXAMPLES / "constfold.lcp").read_text())
