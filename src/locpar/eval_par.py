@@ -1,6 +1,7 @@
 """Parallel task-set evaluator: forking lets, lazy joins, schedule control.
 
-A task owns a private snapshot of the store and location map.  Forking a
+A task owns a private state (store, location map, expression), which its
+steps and joins rewrite in place; a fork gives the child a copy.  Forking a
 spawn-flagged let mints a fresh ivar: the child inherits the concrete address
 of the bound location and produces the value there, while the parent sees the
 location (and the let-bound variable) as the ivar until a join.  Joins are
@@ -21,7 +22,6 @@ copies, and `run_threads` lets each pool thread drive its own task.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field as dcfield
 
 from . import syntax as S
@@ -29,8 +29,8 @@ from .store import (Store, ConcreteLoc, Concrete, Ivar, Indirection,
                     Tag, Scalar, IndirectionCell, StoreError,
                     deref_concrete, end_witness, alloc_frontier,
                     merge_store, merge_locmap, link_fields)
-from .eval_seq import (SeqState, RunContext, step_seq, Stepped, Blocked,
-                       Stuck, SemanticsError, RunResult)
+from .eval_seq import (SeqState, RunContext, step_seq, Stepped, SemanticsError,
+                       RunResult, redex, blocked_on)
 
 
 ### tasks
@@ -141,14 +141,13 @@ def _value_ivar(task: Task) -> str | None:
     return None
 
 
-def _task_actions(ctx: RunContext, ts: TaskSet, task: Task,
-                  probe) -> tuple[list[Action], tuple[str, str] | None]:
+def _task_actions(ctx: RunContext, ts: TaskSet,
+                  task: Task) -> tuple[list[Action], tuple[str, str] | None]:
     """One task's enabled actions (fork, step, join order) and its wait.
 
-    The wait is the (ivar, why) the task needs joined: the ivar its probe is
+    The wait is the (ivar, why) the task needs joined: the ivar its redex is
     blocked on, or the ivar that is its finished value ('value').  The join
-    is enabled once that ivar's producer has completed.  `probe(task)` runs
-    the task's trial step.
+    is enabled once that ivar's producer has completed.
     """
     acts: list[Action] = []
     wait = None
@@ -159,13 +158,9 @@ def _task_actions(ctx: RunContext, ts: TaskSet, task: Task,
     else:
         if _spawn_redex(ctx, task) is not None:
             acts.append(("fork", task.tid))
-        res = probe(task)
-        if isinstance(res, Stepped):
+        wait = blocked_on(task.state)
+        if wait is None:
             acts.append(("step", task.tid))
-        elif isinstance(res, Blocked):
-            wait = (res.ivar, res.why)
-        elif isinstance(res, Stuck):
-            raise SemanticsError("Stuck", f"task {task.tid}: {res.reason}")
     if wait is not None and _join_ready(ts, wait[0]):
         acts.append(("join", task.tid))
     return acts, wait
@@ -190,10 +185,8 @@ def _fork(ctx: RunContext, ts: TaskSet, parent: Task) -> Task:
     lt = e.ty
     iv = ctx.supply.fresh("iv")
     pst = parent.state
-    child_state = SeqState(pst.store.copy(), dict(pst.locmap), e.bound,
-                           dict(pst.frontier_notes), dict(pst.sigma),
-                           set(pst.nursery), dict(pst.constraints),
-                           dict(pst.allocsites))
+    child_state = pst.copy()
+    child_state.expr = e.bound
     region = pst.locmap[lt.loc].region
     child = Task(ts.next_tid, lt, ConcreteLoc(region, Ivar(iv), lt.loc),
                  child_state, set(parent.holds))
@@ -281,8 +274,7 @@ def _join_link_fields(ctx: RunContext, cst: SeqState, iv: str) -> None:
 
 
 def _find_datacon(e: S.Expr) -> S.DataCon | None:
-    while isinstance(e, S.Let):
-        e = e.bound
+    e = redex(e)
     return e if isinstance(e, S.DataCon) else None
 
 
@@ -321,8 +313,7 @@ class Machine:
     """A run's task set with an incremental ready set.
 
     Each live task's enabled actions and wait (see `_task_actions`) are
-    cached, along with its next-step probe, so one semantic step is computed
-    once.  After an action only these entries are recomputed: the task that
+    cached.  After an action only these entries are recomputed: the task that
     acted, a newly forked child, and the tasks waiting on an ivar whose
     producer has just completed or been joined (waiters are indexed by
     ivar).  `enabled()` is the cached entries in task order, the same list a
@@ -336,7 +327,6 @@ class Machine:
         self.ts = TaskSet(tasks={0: root})
         self.decisions: list[dict] = []
         self.peak = 1
-        self._probes: dict[int, tuple] = {}  # tid -> (StepResult, metrics delta)
         # tid -> enabled actions; tids only grow, so insertion order is task order
         self.actions: dict[int, list[Action]] = {}
         self.waits: dict[int, tuple[str, str]] = {}  # tid -> (ivar, why) it needs
@@ -344,17 +334,12 @@ class Machine:
         self._refresh(root)
 
     def copy(self) -> "Machine":
-        """An independent machine in the same state.
-
-        It drops the cached probes: a probed step's state becomes the task's
-        state when the step is applied, so it is recomputed on demand.
-        """
+        """An independent machine in the same state."""
         m = Machine.__new__(Machine)
         m.ctx = self.ctx.copy()
         m.ts = self.ts.copy()
         m.decisions = list(self.decisions)
         m.peak = self.peak
-        m._probes = {}
         m.actions = dict(self.actions)
         m.waits = dict(self.waits)
         m._waiters = {iv: set(tids) for iv, tids in self._waiters.items()}
@@ -364,22 +349,10 @@ class Machine:
         return [a for acts in self.actions.values() for a in acts]
 
     def rescan(self) -> list[Action]:
-        """`enabled()` recomputed from a trial step of every task, without
-        the cache and without disturbing metrics or the name supply: the
+        """`enabled()` recomputed from every task without the cache: the
         reference the incremental ready set must agree with."""
-        ctx = self.ctx
-
-        def probe(task: Task):
-            saved_m, saved_n = dict(ctx.metrics), ctx.supply.n
-            try:
-                return step_seq(ctx, task.state)
-            finally:
-                ctx.metrics.clear()
-                ctx.metrics.update(saved_m)
-                ctx.supply.n = saved_n
-
         return [a for task in self.ts.ordered()
-                for a in _task_actions(ctx, self.ts, task, probe)[0]]
+                for a in _task_actions(self.ctx, self.ts, task)[0]]
 
     def finished(self) -> bool:
         return all(t.complete() for t in self.ts.tasks.values()) \
@@ -396,21 +369,15 @@ class Machine:
         task = ts.tasks[tid]
         child = None
         if kind == "step":
-            if tid not in self._probes:  # dropped by copy()
-                self._probe(task)
-            res, delta = self._probes.pop(tid)
-            task.state = res.state
-            metrics = self.ctx.metrics
-            for k, n in delta.items():
-                metrics[k] = metrics.get(k, 0) + n
+            res = step_seq(self.ctx, task.state)
+            if not isinstance(res, Stepped):
+                raise SemanticsError("Stuck", f"task {tid}: {res.reason}")
             self._refresh(task)
         elif kind == "fork":
-            self._probes.pop(tid, None)
             child = _fork(self.ctx, ts, task)
             self._refresh(task)
             self._refresh(child)
         else:
-            self._probes.pop(tid, None)
             need = self.waits[tid]
             ptid = ts.registry.get(need[0])
             _apply_join(self.ctx, ts, task, need)
@@ -446,20 +413,6 @@ class Machine:
         return RunResult(root.state.expr, store, locmap, metrics,
                          final_state, [])
 
-    def _probe(self, task: Task):
-        ent = self._probes.get(task.tid)
-        if ent is None:
-            # the trial step counts into its own metrics, added on apply
-            ctx = self.ctx
-            metrics, ctx.metrics = ctx.metrics, defaultdict(int)
-            try:
-                res = step_seq(ctx, task.state)
-            finally:
-                delta, ctx.metrics = ctx.metrics, metrics
-            ent = (res, delta)
-            self._probes[task.tid] = ent
-        return ent[0]
-
     def _forget(self, tid: int) -> None:
         old = self.waits.pop(tid, None)
         if old is not None:
@@ -467,8 +420,7 @@ class Machine:
 
     def _refresh(self, task: Task) -> None:
         self._forget(task.tid)
-        self.actions[task.tid], wait = _task_actions(self.ctx, self.ts, task,
-                                                     self._probe)
+        self.actions[task.tid], wait = _task_actions(self.ctx, self.ts, task)
         if wait is not None:
             self.waits[task.tid] = wait
             self._waiters.setdefault(wait[0], set()).add(task.tid)
@@ -684,20 +636,11 @@ def _check_region_exclusivity(ctx: RunContext, ts: TaskSet) -> list[str]:
 
 def _pending_write_region(ctx: RunContext, task: Task) -> str | None:
     """The region a task's immediately enabled constructor write targets."""
-    e = task.state.expr
-    while isinstance(e, S.Let):
-        e = e.bound
-    if not isinstance(e, S.DataCon):
+    e = _find_datacon(task.state.expr)
+    if e is None or blocked_on(task.state) is not None:
         return None
-    for f in e.fields:
-        if not S.is_value(f):
-            return None
-        if isinstance(f, S.ConcreteLocVal) and isinstance(f.loc.ext, Ivar):
-            return None
     cl = task.state.locmap.get(e.loc)
-    if cl is None or isinstance(cl.ext, Ivar):
-        return None
-    return deref_concrete(cl).region
+    return None if cl is None else deref_concrete(cl).region
 
 
 ### bounded-exhaustive exploration

@@ -6,6 +6,13 @@ which locations are materialized (sigma), which are allocated-but-unwritten
 (nursery), the letloc constraint each location was introduced with, the
 current allocation site per region, and the incrementally tracked end of
 every completed value (frontier notes).
+
+`step_seq` rewrites a state in place.  Whether a state can step at all is
+decided beforehand, without side effects, by `blocked_on`, which looks only
+at the redex: the task machine calls it to tell a step from a wait on an
+ivar.  A state is copied only where two futures split: a forked child, a
+copy of the whole task machine (the explorer), a finished parallel run's
+result, and the before-image of a traced sequential step.
 """
 
 from __future__ import annotations
@@ -25,15 +32,6 @@ class SemanticsError(Exception):
         super().__init__(f"{code}: {message}")
         self.code = code
         self.message = message
-
-
-class _Blocked(Exception):
-    """Internal signal: evaluation touched an unfilled ivar."""
-
-    def __init__(self, ivar: str, why: str):
-        super().__init__(ivar)
-        self.ivar = ivar
-        self.why = why
 
 
 @dataclass
@@ -58,7 +56,6 @@ class SeqState:
 
 @dataclass
 class Stepped:
-    state: SeqState
     rule: str
 
 
@@ -68,17 +65,11 @@ class Value:
 
 
 @dataclass
-class Blocked:
-    ivar: str
-    why: str  # 'case' | 'datacon' | 'letloc' | 'value'
-
-
-@dataclass
 class Stuck:
     reason: str
 
 
-StepResult = Stepped | Value | Blocked | Stuck
+StepResult = Stepped | Value | Stuck
 
 
 class RunContext:
@@ -104,18 +95,70 @@ class RunContext:
 
 
 def step_seq(ctx: RunContext, st: SeqState) -> StepResult:
+    """Take one step of `st` in place.
+
+    The caller makes sure `blocked_on(st)` is None first; the rules do not
+    test for ivars.  A stuck step may leave `st` half rewritten.
+    """
     if S.is_value(st.expr):
         return Value(st.expr)
-    st2 = st.copy()
     try:
-        expr2, rule = _reduce(ctx, st2, st2.expr)
-    except _Blocked as b:
-        return Blocked(b.ivar, b.why)
+        st.expr, rule = _reduce(ctx, st, st.expr)
     except (StoreError, SemanticsError) as err:
         return Stuck(str(err))
-    st2.expr = expr2
     ctx.metrics["steps"] += 1
-    return Stepped(st2, rule)
+    return Stepped(rule)
+
+
+def redex(e: S.Expr) -> S.Expr:
+    """The subexpression the next step rewrites.
+
+    The congruence descent `_reduce` follows: a let's non-value bound
+    expression, then the first non-value argument, field, operand or
+    scrutinee.  A value is its own redex.
+    """
+    while True:
+        if isinstance(e, S.Let):
+            sub = (e.bound,)
+        elif isinstance(e, S.App):
+            sub = e.args
+        elif isinstance(e, S.DataCon):
+            sub = e.fields
+        elif isinstance(e, S.PrimOp):
+            sub = (e.lhs, e.rhs)
+        elif isinstance(e, S.Case):
+            sub = (e.scrut,)
+        else:
+            return e
+        inner = next((x for x in sub if not S.is_value(x)), None)
+        if inner is None:
+            return e
+        e = inner
+
+
+def blocked_on(st: SeqState) -> tuple[str, str] | None:
+    """The (ivar, why) whose producer must be joined before `st` can step.
+
+    `why` names the rule that needs the ivar's address: 'letloc' for
+    `l + 1` where l maps to an ivar, 'datacon' for an ivar target or field,
+    'case' for an ivar scrutinee.  None when the step can be taken (or is
+    stuck for another reason, which the step reports).
+    """
+    e = redex(st.expr)
+    if isinstance(e, S.LetLoc) and isinstance(e.locexpr, S.AfterTag):
+        locs, why = [st.locmap.get(e.locexpr.loc)], "letloc"
+    elif isinstance(e, S.DataCon):
+        locs = [st.locmap.get(e.loc)] + [f.loc for f in e.fields
+                                         if isinstance(f, S.ConcreteLocVal)]
+        why = "datacon"
+    elif isinstance(e, S.Case) and isinstance(e.scrut, S.ConcreteLocVal):
+        locs, why = [e.scrut.loc], "case"
+    else:
+        return None
+    for cl in locs:
+        if cl is not None and isinstance(cl.ext, Ivar):
+            return cl.ext.name, why
+    return None
 
 
 ### the transition rules
@@ -179,8 +222,6 @@ def _rule_letloc(ctx: RunContext, st: SeqState, e: S.LetLoc) -> tuple[S.Expr, st
         rule = "D-LetLoc-Start"
     elif isinstance(le, S.AfterTag):
         src = deref_location(st.locmap, le.loc)
-        if isinstance(src.ext, Ivar):
-            raise _Blocked(src.ext.name, "letloc")
         cl = ConcreteLoc(src.region, Concrete(src.ext.index + 1), e.loc)
         alloc_region = src.region
         rule = "D-LetLoc-Tag"
@@ -257,11 +298,6 @@ def _resolve_links(st: SeqState, region: str, index: int) -> tuple[str, int]:
 
 def _rule_datacon(ctx: RunContext, st: SeqState, e: S.DataCon) -> tuple[S.Expr, str]:
     target = deref_location(st.locmap, e.loc)
-    if isinstance(target.ext, Ivar):
-        raise _Blocked(target.ext.name, "datacon")
-    for f in e.fields:
-        if isinstance(f, S.ConcreteLocVal) and isinstance(f.loc.ext, Ivar):
-            raise _Blocked(f.loc.ext.name, "datacon")
     ftys = ctx.decls.fields(e.tag)
     if len(ftys) != len(e.fields):
         raise SemanticsError("Stuck", f"arity mismatch constructing {e.tag}")
@@ -301,8 +337,6 @@ def _rule_case(ctx: RunContext, st: SeqState, e: S.Case) -> tuple[S.Expr, str]:
         raise SemanticsError("Stuck", f"no branch for scalar {scrut.value}")
     assert isinstance(scrut, S.ConcreteLocVal)
     cl = deref_concrete(scrut.loc)
-    if isinstance(cl.ext, Ivar):
-        raise _Blocked(cl.ext.name, "case")
     r, i = _resolve_links(st, cl.region, cl.ext.index)
     hv = st.store.cell(r, i)
     if hv is None:
@@ -376,18 +410,16 @@ def run_seq(tp, opts: dict | None = None,
     st = SeqState(Store(), {}, tp.program.main)
     rules: list[str] = []
     while True:
+        # nothing forks, so no ivar exists and every state is unblocked
+        before = st.copy() if trace is not None else None
         res = step_seq(ctx, st)
         if isinstance(res, Value):
             return RunResult(res.value, st.store, st.locmap, ctx.metrics, st, rules)
-        if isinstance(res, Blocked):
-            raise SemanticsError("Stuck",
-                                 f"sequential evaluation blocked on ivar {res.ivar}")
         if isinstance(res, Stuck):
             raise SemanticsError("Stuck", res.reason)
         rules.append(res.rule)
         if trace is not None:
-            trace.append(_trace_line(len(rules), res.rule, st, res.state))
-        st = res.state
+            trace.append(_trace_line(len(rules), res.rule, before, st))
 
 
 def _trace_line(n: int, rule: str, before: SeqState, after: SeqState) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import statistics
 import struct
-import sys
 import time
 from dataclasses import dataclass, field as dcfield
 
@@ -131,7 +130,6 @@ class ChunkPolicy:
 class Schema:
     """Tag table for byte encoding: field kinds per constructor tag."""
     fields_of: dict[str, tuple[str, ...]]  # tag -> field type names
-    tycon_of_field: dict[str, str] = dcfield(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "tag_ids",
@@ -220,35 +218,31 @@ def _serialize_per_node(v, schema: Schema, policy: ChunkPolicy) -> Chunks:
     data = bytearray()
     boundaries: list[int] = []
     links = 0
-    # iterative with an explicit patch stack: each constructor node becomes
-    # its own chunk; packed (non-scalar) fields become links patched once the
-    # child chunk's offset is known
-    sys.setrecursionlimit(10000)
-
-    def write_node(node) -> int:
-        nonlocal links
+    # explicit stack of (link slot or None, node), popped in preorder: each
+    # constructor node becomes its own chunk, and each packed (non-scalar)
+    # field a link slot, patched with the child chunk's offset when it starts
+    stack: list[tuple[int | None, object]] = [(None, v)]
+    while stack:
+        slot, node = stack.pop()
         start = len(data)
         boundaries.append(start)
+        if slot is not None:
+            struct.pack_into("<BQ", data, slot, PTR_MARKER, start)
         if isinstance(node, Leaf):
             data.extend(struct.pack("<q", node.value))
-            return start
-        data.extend(bytes([schema.tag_ids[node.tag]]))
-        patch: list[tuple[int, object]] = []
+            continue
+        data.append(schema.tag_ids[node.tag])
+        kids = []
         for kind, child in zip(schema.fields_of[node.tag], node.children):
             if kind == "Int":
                 data.extend(struct.pack("<q", child.value))
             else:
-                patch.append((len(data), child))
-                data.extend(b"\x00" * LINK_BYTES)
+                kids.append((len(data), child))
+                data.extend(bytes(LINK_BYTES))
                 links += 1
-        for pos, child in patch:
-            off = write_node(child)
-            struct.pack_into("<BQ", data, pos, PTR_MARKER, off)
         if len(data) - start > policy.cap:
             raise ValueTooLarge("single node exceeds chunk cap")
-        return start
-
-    write_node(v)
+        stack.extend(reversed(kids))
     return Chunks(data, boundaries, links, schema)
 
 

@@ -741,8 +741,20 @@ def _subst_cl(cl: ConcreteLoc, im: dict[str, ConcreteLoc]) -> ConcreteLoc:
     return cl
 
 
+def _bind(x: str, m: dict, ns: NameSupply | None, wrap=lambda n: n):
+    """A binder's name and the map its scope sees: a fresh name mapped in
+    when a name supply is given, otherwise x itself, shadowing its entry."""
+    if ns is None:
+        return x, {k: v for k, v in m.items() if k != x}
+    x2 = ns.fresh(x)
+    return x2, {**m, x: wrap(x2)}
+
+
 def _subst(e: Expr, vm: dict[str, Expr], lm: dict[str, str],
-           rm: dict[str, str], im: dict[str, ConcreteLoc]) -> Expr:
+           rm: dict[str, str], im: dict[str, ConcreteLoc],
+           ns: NameSupply | None = None) -> Expr:
+    """One traversal for substitution and freshening: with a name supply
+    every binder is renamed to a fresh name, drawn in preorder."""
     if isinstance(e, Var):
         return vm.get(e.name, e)
     if isinstance(e, IntLit):
@@ -750,18 +762,20 @@ def _subst(e: Expr, vm: dict[str, Expr], lm: dict[str, str],
     if isinstance(e, ConcreteLocVal):
         return ConcreteLocVal(_subst_cl(e.loc, im))
     if isinstance(e, PrimOp):
-        return PrimOp(e.op, _subst(e.lhs, vm, lm, rm, im), _subst(e.rhs, vm, lm, rm, im))
+        return PrimOp(e.op, _subst(e.lhs, vm, lm, rm, im, ns),
+                      _subst(e.rhs, vm, lm, rm, im, ns))
     if isinstance(e, App):
         locargs = tuple((lm.get(l, l), rm.get(r, r)) for l, r in e.locargs)
-        return App(e.func, locargs, tuple(_subst(a, vm, lm, rm, im) for a in e.args))
+        return App(e.func, locargs,
+                   tuple(_subst(a, vm, lm, rm, im, ns) for a in e.args))
     if isinstance(e, DataCon):
         return DataCon(e.tag, lm.get(e.loc, e.loc), rm.get(e.region, e.region),
-                       tuple(_subst(f, vm, lm, rm, im) for f in e.fields))
+                       tuple(_subst(f, vm, lm, rm, im, ns) for f in e.fields))
     if isinstance(e, Let):
-        bound = _subst(e.bound, vm, lm, rm, im)
-        vm2 = {k: v for k, v in vm.items() if k != e.var}
-        return Let(e.var, _subst_ty(e.ty, lm, rm), bound,
-                   _subst(e.body, vm2, lm, rm, im), e.spawn)
+        bound = _subst(e.bound, vm, lm, rm, im, ns)
+        x2, vm2 = _bind(e.var, vm, ns, Var)
+        return Let(x2, _subst_ty(e.ty, lm, rm), bound,
+                   _subst(e.body, vm2, lm, rm, im, ns), e.spawn)
     if isinstance(e, LetLoc):
         le = e.locexpr
         if isinstance(le, StartOfRegion):
@@ -770,27 +784,31 @@ def _subst(e: Expr, vm: dict[str, Expr], lm: dict[str, str],
             le = AfterTag(lm.get(le.loc, le.loc), rm.get(le.region, le.region))
         else:
             le = AfterValue(_subst_ty(le.ty, lm, rm))  # type: ignore[arg-type]
-        lm2 = {k: v for k, v in lm.items() if k != e.loc}
-        return LetLoc(e.loc, rm.get(e.region, e.region), le,
-                      _subst(e.body, vm, lm2, rm, im))
+        l2, lm2 = _bind(e.loc, lm, ns)
+        return LetLoc(l2, rm.get(e.region, e.region), le,
+                      _subst(e.body, vm, lm2, rm, im, ns))
     if isinstance(e, LetRegion):
-        rm2 = {k: v for k, v in rm.items() if k != e.region}
-        return LetRegion(e.region, _subst(e.body, vm, lm, rm2, im))
+        r2, rm2 = _bind(e.region, rm, ns)
+        return LetRegion(r2, _subst(e.body, vm, lm, rm2, im, ns))
     if isinstance(e, Case):
-        scrut = _subst(e.scrut, vm, lm, rm, im)
+        scrut = _subst(e.scrut, vm, lm, rm, im, ns)
         branches: list[Branch] = []
         for b in e.branches:
             if isinstance(b, ConBranch):
-                shadowed_vars = {x for x, _ in b.fields}
-                shadowed_locs = {ty.loc for _, ty in b.fields if isinstance(ty, PackedType)}
-                vm2 = {k: v for k, v in vm.items() if k not in shadowed_vars}
-                lm2 = {k: v for k, v in lm.items() if k not in shadowed_locs}
-                fields = tuple((x, _subst_ty(ty, lm, rm)) for x, ty in b.fields)
-                branches.append(ConBranch(b.tag, fields, _subst(b.body, vm2, lm2, rm, im)))
+                vm2, lm2 = vm, lm
+                fields = []
+                for x, ty in b.fields:
+                    x2, vm2 = _bind(x, vm2, ns, Var)
+                    if isinstance(ty, PackedType):
+                        l2, lm2 = _bind(ty.loc, lm2, ns)
+                        ty = PackedType(ty.tycon, l2, rm.get(ty.region, ty.region))
+                    fields.append((x2, ty))
+                branches.append(ConBranch(b.tag, tuple(fields),
+                                          _subst(b.body, vm2, lm2, rm, im, ns)))
             elif isinstance(b, IntBranch):
-                branches.append(IntBranch(b.value, _subst(b.body, vm, lm, rm, im)))
+                branches.append(IntBranch(b.value, _subst(b.body, vm, lm, rm, im, ns)))
             else:
-                branches.append(DefaultBranch(_subst(b.body, vm, lm, rm, im)))
+                branches.append(DefaultBranch(_subst(b.body, vm, lm, rm, im, ns)))
         return Case(scrut, tuple(branches))
     raise TypeError(f"not an expression: {e!r}")
 
@@ -810,74 +828,8 @@ def freshen(fd: FunDecl, supply: NameSupply) -> FunDecl:
     locparams = tuple((lm[l], rm[r]) for l, r in fd.locparams)
     params = tuple((vm[x].name, _subst_ty(ty, lm, rm))  # type: ignore[union-attr]
                    for x, ty in fd.params)
-    body = _freshen_expr(fd.body, vm, lm, rm, supply)
+    body = _subst(fd.body, vm, lm, rm, {}, supply)
     return FunDecl(fd.name, locparams, params, _subst_ty(fd.ret, lm, rm), body)
-
-
-def _freshen_expr(e: Expr, vm: dict[str, Expr], lm: dict[str, str],
-                  rm: dict[str, str], ns: NameSupply) -> Expr:
-    if isinstance(e, (Var, IntLit, ConcreteLocVal)):
-        return _subst(e, vm, lm, rm, {})
-    if isinstance(e, PrimOp):
-        return PrimOp(e.op, _freshen_expr(e.lhs, vm, lm, rm, ns),
-                      _freshen_expr(e.rhs, vm, lm, rm, ns))
-    if isinstance(e, App):
-        locargs = tuple((lm.get(l, l), rm.get(r, r)) for l, r in e.locargs)
-        return App(e.func, locargs,
-                   tuple(_freshen_expr(a, vm, lm, rm, ns) for a in e.args))
-    if isinstance(e, DataCon):
-        return DataCon(e.tag, lm.get(e.loc, e.loc), rm.get(e.region, e.region),
-                       tuple(_freshen_expr(f, vm, lm, rm, ns) for f in e.fields))
-    if isinstance(e, Let):
-        bound = _freshen_expr(e.bound, vm, lm, rm, ns)
-        x2 = ns.fresh(e.var)
-        vm2 = dict(vm)
-        vm2[e.var] = Var(x2)
-        return Let(x2, _subst_ty(e.ty, lm, rm), bound,
-                   _freshen_expr(e.body, vm2, lm, rm, ns), e.spawn)
-    if isinstance(e, LetLoc):
-        le = e.locexpr
-        if isinstance(le, StartOfRegion):
-            le2: LocExpr = StartOfRegion(rm.get(le.region, le.region))
-        elif isinstance(le, AfterTag):
-            le2 = AfterTag(lm.get(le.loc, le.loc), rm.get(le.region, le.region))
-        else:
-            le2 = AfterValue(_subst_ty(le.ty, lm, rm))  # type: ignore[arg-type]
-        l2 = ns.fresh(e.loc)
-        lm2 = dict(lm)
-        lm2[e.loc] = l2
-        return LetLoc(l2, rm.get(e.region, e.region), le2,
-                      _freshen_expr(e.body, vm, lm2, rm, ns))
-    if isinstance(e, LetRegion):
-        r2 = ns.fresh(e.region)
-        rm2 = dict(rm)
-        rm2[e.region] = r2
-        return LetRegion(r2, _freshen_expr(e.body, vm, rm=rm2, lm=lm, ns=ns))
-    if isinstance(e, Case):
-        scrut = _freshen_expr(e.scrut, vm, lm, rm, ns)
-        branches: list[Branch] = []
-        for b in e.branches:
-            if isinstance(b, ConBranch):
-                vm2 = dict(vm)
-                lm2 = dict(lm)
-                fields = []
-                for x, ty in b.fields:
-                    x2 = ns.fresh(x)
-                    vm2[x] = Var(x2)
-                    if isinstance(ty, PackedType):
-                        lnew = ns.fresh(ty.loc)
-                        lm2[ty.loc] = lnew
-                        fields.append((x2, PackedType(ty.tycon, lnew, rm.get(ty.region, ty.region))))
-                    else:
-                        fields.append((x2, ty))
-                branches.append(ConBranch(b.tag, tuple(fields),
-                                          _freshen_expr(b.body, vm2, lm2, rm, ns)))
-            elif isinstance(b, IntBranch):
-                branches.append(IntBranch(b.value, _freshen_expr(b.body, vm, lm, rm, ns)))
-            else:
-                branches.append(DefaultBranch(_freshen_expr(b.body, vm, lm, rm, ns)))
-        return Case(scrut, tuple(branches))
-    raise TypeError(f"not an expression: {e!r}")
 
 
 def instantiate(fd: FunDecl, locargs, args, supply: NameSupply) -> Expr:
@@ -889,7 +841,7 @@ def instantiate(fd: FunDecl, locargs, args, supply: NameSupply) -> Expr:
         lm[fl] = al
         rm[fr] = ar
     vm: dict[str, Expr] = {x: arg for (x, _), arg in zip(fd.params, args)}
-    return _freshen_expr(fd.body, vm, lm, rm, supply)
+    return _subst(fd.body, vm, lm, rm, {}, supply)
 
 
 ### alpha equivalence

@@ -72,21 +72,18 @@ class TestRunPar:
 
     def test_trace_round_trip(self, capsys, tmp_path):
         trace = tmp_path / "sched.jsonl"
-        code, _, _ = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),
-                             "--mode", "par", "--schedule", "random:9",
-                             "--trace", str(trace), "--dump-heap")
+        code, out, _ = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),
+                               "--mode", "par", "--schedule", "random:9",
+                               "--trace", str(trace), "--dump-heap")
         assert code == 0
         code2, out2, _ = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),
                                  "--mode", "par",
                                  "--schedule", f"trace:{trace}",
                                  "--dump-heap")
         assert code2 == 0
-        # replaying the recorded schedule reproduces the run
-        code3, out3, _ = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),
-                                 "--mode", "par",
-                                 "--schedule", f"trace:{trace}",
-                                 "--dump-heap")
-        assert out2 == out3
+        # replaying the recorded schedule reproduces the recorded run's value
+        # and heap dump
+        assert "→" in out and out2 == out
 
     def test_wf_checks_enabled(self, capsys):
         code, _, _ = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import GOOD_EXAMPLES
 from locpar import eval_par as P
 from locpar import syntax as S
-from locpar.eval_seq import SemanticsError, run_seq, verify_frontier_notes
+from locpar.eval_seq import (SemanticsError, SeqState, Stepped, blocked_on,
+                             run_seq, step_seq, verify_frontier_notes)
 from locpar.store import IndirectionCell, Ivar, Scalar, Tag
 from locpar.typecheck import typecheck_program
 
@@ -238,8 +239,9 @@ class TestMachine:
     def test_copies_at_every_state_finish_alike(self, load_program,
                                                 canonical, name):
         # a copy made at any state and run to the end must leave its source
-        # able to finish the same way: copies share no state a fork or a
-        # join mutates in place (a copy re-probes, so its fresh names differ)
+        # able to finish the same way: copies share no state a step, fork or
+        # join mutates in place, and a copy continues its source's name
+        # supply, so it draws the same fresh names
         tp = load_program(name)
         ref = P.run_par(tp, P.always_fork())
         want = canonical(tp, ref.value, ref.store)
@@ -250,6 +252,7 @@ class TestMachine:
                 c.apply((d2["action"], d2["task"]))
             res = c.result()
             assert canonical(tp, res.value, res.store) == want
+            assert res.store.dump() == ref.store.dump()
             m.apply((d["action"], d["task"]))
         assert m.result().store.dump() == ref.store.dump()
 
@@ -258,6 +261,69 @@ class TestMachine:
         with pytest.raises(SemanticsError):
             m.apply(("join", 0))
         assert m.decisions == []
+
+
+class TestImplicitPar:
+    @pytest.mark.parametrize("name", GOOD_EXAMPLES)
+    def test_every_schedule_gives_the_sequential_value(self, load_program,
+                                                       canonical, name):
+        tp = load_program(name)
+        seq = run_seq(tp)
+        want = canonical(tp, seq.value, seq.store)
+        opts = {"implicit_par": True}
+        runs = [P.run_par(tp, mk(), opts) for mk in SCHEDULES]
+        runs.append(run_threads_bounded(tp, 2, opts=opts))
+        for res in runs:
+            assert canonical(tp, res.value, res.store) == want
+
+    def test_forks_unmarked_lets(self, load_program):
+        # sumtree marks no let spawn; implicit parallelism forks its calls
+        tp = load_program("sumtree.lcp")
+        assert P.run_par(tp, P.always_fork()).metrics["forks"] == 0
+        res = P.run_par(tp, P.always_fork(), {"implicit_par": True})
+        assert res.metrics["forks"] == 15
+
+
+class TestBlockedOn:
+    @pytest.mark.parametrize("name", GOOD_EXAMPLES)
+    def test_guards_every_rule(self, load_program, name):
+        # at every state, a task the check lets through takes a step, and a
+        # task it holds back waits on an ivar it holds that has a producer
+        tp = load_program(name)
+        for implicit in (False, True):
+            for mk in [P.always_fork] + SCHEDULES[2:]:
+                m = P.Machine(tp, implicit_par=implicit)
+                sched = mk()
+                while actions := m.enabled():
+                    for task in m.ts.tasks.values():
+                        if task.complete():
+                            continue
+                        wait = blocked_on(task.state)
+                        if wait is None:
+                            res = step_seq(m.ctx.copy(), task.state.copy())
+                            assert isinstance(res, Stepped), (task.tid, res)
+                        else:
+                            assert wait[0] in task.holds
+                            assert m.ts.producer(wait[0]) is not None
+                    m.apply(P.choose_action(sched, actions, len(m.decisions)))
+                assert m.finished()
+
+    def test_states_are_copied_only_where_futures_split(self, load_program,
+                                                        monkeypatch):
+        copies = [0]
+        copy = SeqState.copy
+
+        def counted(st):
+            copies[0] += 1
+            return copy(st)
+
+        monkeypatch.setattr(SeqState, "copy", counted)
+        tp = load_program("buildtree.lcp")
+        assert run_seq(tp).metrics["steps"] > 0
+        assert copies[0] == 0
+        # one copy per forked child, and one for the finished result
+        res = P.run_par(tp, P.always_fork())
+        assert copies[0] == res.metrics["forks"] + 1 == 16
 
 
 class TestTwoWaiters:
@@ -290,13 +356,14 @@ class TestTwoWaiters:
         assert run_threads_bounded(two_waiters(), workers).value.value == 10
 
 
-def run_threads_bounded(tp, workers, seconds=60):
+def run_threads_bounded(tp, workers, seconds=60, opts=None):
     """run_threads in a daemon thread, so that a deadlock fails the test.
     Frequent thread switches make a lost update to shared state likely to
     show."""
     box = {}
-    th = threading.Thread(target=lambda: box.update(res=P.run_threads(tp, workers)),
-                          daemon=True)
+    th = threading.Thread(
+        target=lambda: box.update(res=P.run_threads(tp, workers, opts)),
+        daemon=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -1,6 +1,7 @@
 """Byte layout: serialization modes, chunk policy, traversal, statistics."""
 
 import io
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,18 @@ class TestByteSerialization:
         assert ch.chunk_count() > 1
         assert all(sz <= 32 for sz in ch.chunk_sizes())
         assert L.byte_parse(ch) == tree
+
+    def test_deep_chain_serializes_per_node_without_recursion(self):
+        nat = L.Schema({"Z": (), "Su": ("Nat",)})
+        v = L.Node("Z", ())
+        for _ in range(12_000):
+            v = L.Node("Su", (v,))
+        limit = sys.getrecursionlimit()
+        ch = L.byte_serialize(v, nat, mode="per-node-fragmented")
+        assert sys.getrecursionlimit() == limit
+        assert ch.chunk_count() == 12_001 and ch.links == 12_000
+        (total, leaves), _ = L.traverse_bytes(ch, repeats=1)
+        assert (total, leaves) == (0, 1)
 
     def test_oversized_single_node_rejected(self):
         # one constructor with 8 scalar fields cannot fit a 32-byte chunk
