@@ -1,7 +1,8 @@
 """Command-line entry point: parse, typecheck, evaluate, explore, bench.
 
 Exit codes: 0 success, 1 static (parse/type) error, 2 semantics violation
-(stuck state, well-formedness failure, merge conflict), 3 usage error.
+(stuck state, well-formedness failure, merge conflict) or resource exhaustion
+(recursion limit or memory: `ResourceExhausted`), 3 usage error.
 Diagnostics go to standard error as JSON lines.
 """
 
@@ -131,11 +132,7 @@ def _cmd_run(args) -> int:
         sched = _parse_schedule(args.schedule)
         opts = {"implicit_par": args.implicit_par}
         if args.check_wf_every_step:
-            def wf_cb(ctx, ts):
-                bad = P.check_wellformed(None, ts, ctx)
-                if bad:
-                    raise SemanticsError("WellFormedness", "; ".join(bad))
-            opts["wf_callback"] = wf_cb
+            opts["wf_callback"] = _check_wf
         res = P.run_par(tp, sched, opts)
         return _finish_run(args, res, tp.decls)
     if args.mode == "explore":
@@ -145,13 +142,14 @@ def _cmd_run(args) -> int:
     raise ValueError(args.mode)
 
 
+def _check_wf(ctx, ts) -> None:
+    bad = P.check_wellformed(None, ts, ctx)
+    if bad:
+        raise SemanticsError("WellFormedness", "; ".join(bad))
+
+
 def _cmd_explore(args, tp) -> int:
-    wf_cb = None
-    if args.check_wf_every_step:
-        def wf_cb(ctx, ts):
-            bad = P.check_wellformed(None, ts, ctx)
-            if bad:
-                raise SemanticsError("WellFormedness", "; ".join(bad))
+    wf_cb = _check_wf if args.check_wf_every_step else None
     flats = set()
     terminals = 0
     for term in P.enumerate_schedules(tp, args.fork_bound, wf_callback=wf_cb):
@@ -183,8 +181,7 @@ def _cmd_bench(args) -> int:
     schema = L.tree_schema()
     packed = L.byte_serialize(tree, schema, policy, mode="packed")
     frag = L.byte_serialize(tree, schema, policy, mode="per-node-fragmented")
-    (agg_p, t_p) = L.traverse_bytes(packed)
-    (agg_f, t_f) = L.traverse_bytes(frag)
+    (agg_p, t_p), (agg_f, t_f), slowdown = L.paired_slowdown(packed, frag)
     report = {
         "depth": args.bench_depth,
         "leaves": agg_p[1],
@@ -194,7 +191,7 @@ def _cmd_bench(args) -> int:
         "fragmented_chunks": frag.chunk_count(),
         "packed_median_ns": t_p,
         "fragmented_median_ns": t_f,
-        "slowdown": t_f / t_p,
+        "slowdown": slowdown,
         "aggregates_agree": agg_p == agg_f,
     }
     print(json.dumps(report))
@@ -218,6 +215,9 @@ def main(argv=None) -> int:
         return 1
     except (SemanticsError, StoreError) as err:
         _diag("error", err.code, err.message)
+        return 2
+    except (RecursionError, MemoryError) as err:
+        _diag("error", "ResourceExhausted", f"{type(err).__name__}: {err}")
         return 2
     except ValueError as err:
         _diag("error", "Usage", str(err))

@@ -30,7 +30,7 @@ from .store import (Store, ConcreteLoc, Concrete, Ivar, Indirection,
                     deref_concrete, end_witness, alloc_frontier,
                     merge_store, merge_locmap, link_fields)
 from .eval_seq import (SeqState, RunContext, step_seq, Stepped, SemanticsError,
-                       RunResult, redex, blocked_on)
+                       RunResult, blocked_on)
 
 
 ### tasks
@@ -46,7 +46,7 @@ class Task:
     holds: set[str] = dcfield(default_factory=set)
 
     def complete(self) -> bool:
-        return S.is_value(self.state.expr)
+        return self.state.complete()
 
     def copy(self) -> "Task":
         return Task(self.tid, self.rtype, self.target, self.state.copy(),
@@ -114,28 +114,24 @@ def trace_schedule(decisions: list[dict]) -> Schedule:
 Action = tuple[str, int]  # ('step' | 'fork' | 'join', task id)
 
 
-def _spawn_redex(ctx: RunContext, task: Task):
-    """Outermost forkable let on the evaluation spine, with its context.
-
-    Returns (enclosing lets outermost-first, the forkable let) or None.  A
-    let is forkable when it is marked spawn (or implicit parallelism is on),
-    binds a located value, and its target location is already concrete.
-    """
-    e = task.state.expr
-    outer: list[S.Let] = []
-    while isinstance(e, S.Let) and not S.is_value(e.bound):
+def _spawn_redex(ctx: RunContext, task: Task) -> int | None:
+    """The frame index of the outermost forkable let among the leading let
+    frames.  A let is forkable when it is marked spawn (or implicit
+    parallelism is on), binds a located value, and its target location is
+    already concrete."""
+    for n, (e, _) in enumerate(task.state.frames):
+        if not isinstance(e, S.Let):
+            return None
         if (e.spawn or ctx.implicit_par) \
                 and isinstance(e.ty, S.PackedType) and e.ty.tycon != "Int":
             cl = task.state.locmap.get(e.ty.loc)
             if cl is not None and not isinstance(cl.ext, Ivar):
-                return outer, e
-        outer.append(e)
-        e = e.bound
+                return n
     return None
 
 
 def _value_ivar(task: Task) -> str | None:
-    e = task.state.expr
+    e = task.state.focus
     if isinstance(e, S.ConcreteLocVal) and isinstance(e.loc.ext, Ivar):
         return e.loc.ext.name
     return None
@@ -170,7 +166,7 @@ def _join_ready(ts: TaskSet, ivar: str) -> bool:
     prod = ts.producer(ivar)
     if prod is None or not prod.complete():
         return False
-    v = prod.state.expr
+    v = prod.state.focus
     return isinstance(v, S.ConcreteLocVal) and isinstance(v.loc.ext, Concrete)
 
 
@@ -178,15 +174,17 @@ def _fork(ctx: RunContext, ts: TaskSet, parent: Task) -> Task:
     """Split the parent at its spawn redex; register and return the child.
 
     The child produces the let's bound expression at the bound location,
-    from a snapshot of the parent's state; the parent continues with the
-    location and the let-bound variable replaced by a fresh ivar.
+    from a snapshot of the parent's state: the frames above the let, and
+    the focus.  The parent keeps the frames below the let and continues
+    with its body, the location and the let-bound variable now a fresh ivar.
     """
-    outer, e = _spawn_redex(ctx, parent)
+    n = _spawn_redex(ctx, parent)
+    pst = parent.state
+    e = pst.frames[n][0]
     lt = e.ty
     iv = ctx.supply.fresh("iv")
-    pst = parent.state
     child_state = pst.copy()
-    child_state.expr = e.bound
+    del child_state.frames[:n + 1]
     region = pst.locmap[lt.loc].region
     child = Task(ts.next_tid, lt, ConcreteLoc(region, Ivar(iv), lt.loc),
                  child_state, set(parent.holds))
@@ -196,10 +194,8 @@ def _fork(ctx: RunContext, ts: TaskSet, parent: Task) -> Task:
     pst.sigma[lt.loc] = lt
     pst.nursery.discard(lt.loc)
     hole = S.ConcreteLocVal(ConcreteLoc(region, Ivar(iv), lt.loc))
-    inner = S.substitute(e.body, var_map={e.var: hole})
-    for enc in reversed(outer):
-        inner = S.Let(enc.var, enc.ty, inner, enc.body, enc.spawn)
-    pst.expr = inner
+    del pst.frames[n:]
+    pst.refocus(S.substitute(e.body, var_map={e.var: hole}))
     ts.next_tid += 1
     ts.tasks[child.tid] = child
     ts.registry[iv] = child.tid
@@ -216,7 +212,7 @@ def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
     """
     iv, why = need
     prod = ts.producer(iv)
-    ploc = prod.state.expr.loc
+    ploc = prod.state.focus.loc
     assert isinstance(ploc.ext, Concrete)
     pst, cst = prod.state, consumer.state
     cst.store = merge_store(cst.store, pst.store)
@@ -253,8 +249,8 @@ def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
 
 def _join_link_fields(ctx: RunContext, cst: SeqState, iv: str) -> None:
     """After a constructor join, stitch each resolved field to its successor."""
-    e = _find_datacon(cst.expr)
-    if e is None:
+    e = cst.focus
+    if not isinstance(e, S.DataCon):
         return
     ftys = ctx.decls.fields(e.tag)
     for k, (fty, fv) in enumerate(zip(ftys, e.fields)):
@@ -271,11 +267,6 @@ def _join_link_fields(ctx: RunContext, cst: SeqState, iv: str) -> None:
         if cst.store is not before:
             ctx.metrics["indirections"] += 1
             ctx.metrics["cells_written"] += 1
-
-
-def _find_datacon(e: S.Expr) -> S.DataCon | None:
-    e = redex(e)
-    return e if isinstance(e, S.DataCon) else None
 
 
 ### choosing
@@ -636,8 +627,8 @@ def _check_region_exclusivity(ctx: RunContext, ts: TaskSet) -> list[str]:
 
 def _pending_write_region(ctx: RunContext, task: Task) -> str | None:
     """The region a task's immediately enabled constructor write targets."""
-    e = _find_datacon(task.state.expr)
-    if e is None or blocked_on(task.state) is not None:
+    e = task.state.focus
+    if not isinstance(e, S.DataCon) or blocked_on(task.state) is not None:
         return None
     cl = task.state.locmap.get(e.loc)
     return None if cl is None else deref_concrete(cl).region

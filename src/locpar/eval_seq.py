@@ -7,9 +7,14 @@ which locations are materialized (sigma), which are allocated-but-unwritten
 current allocation site per region, and the incrementally tracked end of
 every completed value (frontier notes).
 
+The expression is kept as a focus, the redex the next step rewrites, inside a
+stack of frames (node, index of the child the focus sits under).  A step
+contracts the focus and refocuses locally (Danvy and Nielsen's refocusing),
+so it never walks from the root; packed-value ends come from frontier notes.
+
 `step_seq` rewrites a state in place.  Whether a state can step at all is
 decided beforehand, without side effects, by `blocked_on`, which looks only
-at the redex: the task machine calls it to tell a step from a wait on an
+at the focus: the task machine calls it to tell a step from a wait on an
 ivar.  A state is copied only where two futures split: a forked child, a
 copy of the whole task machine (the explorer), a finished parallel run's
 result, and the before-image of a traced sequential step.
@@ -21,8 +26,9 @@ from dataclasses import dataclass, field as dcfield
 
 from . import syntax as S
 from .store import (Store, LocationMap, ConcreteLoc, Concrete, Ivar, Indirection,
-                    Tag, Scalar, IndirectionCell, Decls, StoreError,
-                    deref_location, deref_concrete, end_witness, write_cell)
+                    Tag, Scalar, Decls, StoreError,
+                    deref_location, deref_concrete, end_witness,
+                    fmt_cell, resolve_links, write_cell)
 
 
 class SemanticsError(Exception):
@@ -36,20 +42,88 @@ class SemanticsError(Exception):
 
 @dataclass
 class SeqState:
+    """A state built from a whole expression, held as `focus` in `frames`:
+    (node, hole index) pairs, empty whenever the focus is a value.  The focus
+    has no non-value child in evaluation position.  A frame's node keeps a
+    stale child at its hole; only `expr` plugs them."""
     store: Store
     locmap: LocationMap
-    expr: S.Expr
+    focus: S.Expr
     frontier_notes: dict[tuple[str, int], tuple[str, int]] = dcfield(default_factory=dict)
     sigma: dict[str, S.PackedType] = dcfield(default_factory=dict)
     nursery: set[str] = dcfield(default_factory=set)
     constraints: dict[str, S.LocExpr] = dcfield(default_factory=dict)
     allocsites: dict[str, str | None] = dcfield(default_factory=dict)
+    frames: list[tuple[S.Expr, int]] = dcfield(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not self.frames:  # given frames (a copy) already decompose it
+            self.refocus(self.focus)
+
+    @property
+    def expr(self) -> S.Expr:
+        """The whole expression: the focus plugged back into every frame."""
+        e = self.focus
+        for node, k in reversed(self.frames):
+            e = _plug(node, k, e)
+        return e
+
+    @expr.setter
+    def expr(self, e: S.Expr) -> None:
+        self.frames = []
+        self.refocus(e)
+
+    def refocus(self, e: S.Expr) -> None:
+        """Put `e` in the focus's place: plug a value into the innermost frame,
+        then descend to the first non-value child while there is one."""
+        frames = self.frames
+        if frames and S.is_value(e):
+            node, k = frames.pop()
+            e = _plug(node, k, e)
+        while (hole := _open_hole(e)) is not None:
+            frames.append((e, hole[0]))
+            e = hole[1]
+        self.focus = e
+
+    def complete(self) -> bool:
+        return S.is_value(self.focus)
 
     def copy(self) -> "SeqState":
-        return SeqState(self.store.copy(), dict(self.locmap), self.expr,
+        return SeqState(self.store.copy(), dict(self.locmap), self.focus,
                         dict(self.frontier_notes), dict(self.sigma),
                         set(self.nursery), dict(self.constraints),
-                        dict(self.allocsites))
+                        dict(self.allocsites), list(self.frames))
+
+
+# per node type: its children in evaluation position, in evaluation order
+_EVAL_CHILDREN = {S.Let: lambda e: (e.bound,), S.App: lambda e: e.args,
+                  S.DataCon: lambda e: e.fields, S.PrimOp: lambda e: (e.lhs, e.rhs),
+                  S.Case: lambda e: (e.scrut,)}
+
+
+def _open_hole(e: S.Expr) -> tuple[int, S.Expr] | None:
+    """The position and child of `e`'s first non-value child in evaluation position."""
+    children = _EVAL_CHILDREN.get(type(e))
+    for k, x in enumerate(children(e) if children else ()):
+        if not S.is_value(x):
+            return k, x
+    return None
+
+
+def _plug(node: S.Expr, k: int, v: S.Expr) -> S.Expr:
+    """`node` with its child in evaluation position k replaced by `v`."""
+    if isinstance(node, S.Let):
+        return S.Let(node.var, node.ty, v, node.body, node.spawn)
+    if isinstance(node, S.App):
+        return S.App(node.func, node.locargs,
+                     node.args[:k] + (v,) + node.args[k + 1:])
+    if isinstance(node, S.DataCon):
+        return S.DataCon(node.tag, node.loc, node.region,
+                         node.fields[:k] + (v,) + node.fields[k + 1:])
+    if isinstance(node, S.PrimOp):
+        return S.PrimOp(node.op, v, node.rhs) if k == 0 \
+            else S.PrimOp(node.op, node.lhs, v)
+    return S.Case(v, node.branches)
 
 
 ### step results
@@ -100,40 +174,16 @@ def step_seq(ctx: RunContext, st: SeqState) -> StepResult:
     The caller makes sure `blocked_on(st)` is None first; the rules do not
     test for ivars.  A stuck step may leave `st` half rewritten.
     """
-    if S.is_value(st.expr):
-        return Value(st.expr)
+    e = st.focus
+    if S.is_value(e):
+        return Value(e)
     try:
-        st.expr, rule = _reduce(ctx, st, st.expr)
+        e, rule = _contract(ctx, st, e)
     except (StoreError, SemanticsError) as err:
         return Stuck(str(err))
+    st.refocus(e)
     ctx.metrics["steps"] += 1
     return Stepped(rule)
-
-
-def redex(e: S.Expr) -> S.Expr:
-    """The subexpression the next step rewrites.
-
-    The congruence descent `_reduce` follows: a let's non-value bound
-    expression, then the first non-value argument, field, operand or
-    scrutinee.  A value is its own redex.
-    """
-    while True:
-        if isinstance(e, S.Let):
-            sub = (e.bound,)
-        elif isinstance(e, S.App):
-            sub = e.args
-        elif isinstance(e, S.DataCon):
-            sub = e.fields
-        elif isinstance(e, S.PrimOp):
-            sub = (e.lhs, e.rhs)
-        elif isinstance(e, S.Case):
-            sub = (e.scrut,)
-        else:
-            return e
-        inner = next((x for x in sub if not S.is_value(x)), None)
-        if inner is None:
-            return e
-        e = inner
 
 
 def blocked_on(st: SeqState) -> tuple[str, str] | None:
@@ -144,7 +194,7 @@ def blocked_on(st: SeqState) -> tuple[str, str] | None:
     'case' for an ivar scrutinee.  None when the step can be taken (or is
     stuck for another reason, which the step reports).
     """
-    e = redex(st.expr)
+    e = st.focus
     if isinstance(e, S.LetLoc) and isinstance(e.locexpr, S.AfterTag):
         locs, why = [st.locmap.get(e.locexpr.loc)], "letloc"
     elif isinstance(e, S.DataCon):
@@ -163,43 +213,21 @@ def blocked_on(st: SeqState) -> tuple[str, str] | None:
 
 ### the transition rules
 
-def _reduce(ctx: RunContext, st: SeqState, e: S.Expr) -> tuple[S.Expr, str]:
+def _contract(ctx: RunContext, st: SeqState, e: S.Expr) -> tuple[S.Expr, str]:
+    """Rewrite the focus `e`, whose children in evaluation position are values."""
     if isinstance(e, S.LetRegion):
         return _rule_letregion(ctx, st, e)
     if isinstance(e, S.LetLoc):
         return _rule_letloc(ctx, st, e)
     if isinstance(e, S.Let):
-        if S.is_value(e.bound):
-            body = S.substitute(e.body, var_map={e.var: e.bound})
-            return body, "D-Let-Val"
-        bound2, rule = _reduce(ctx, st, e.bound)
-        return S.Let(e.var, e.ty, bound2, e.body, e.spawn), rule
+        return S.substitute(e.body, var_map={e.var: e.bound}), "D-Let-Val"
     if isinstance(e, S.App):
-        for k, a in enumerate(e.args):
-            if not S.is_value(a):
-                a2, rule = _reduce(ctx, st, a)
-                args = e.args[:k] + (a2,) + e.args[k + 1:]
-                return S.App(e.func, e.locargs, args), rule
         return _rule_app(ctx, st, e)
     if isinstance(e, S.DataCon):
-        for k, f in enumerate(e.fields):
-            if not S.is_value(f):
-                f2, rule = _reduce(ctx, st, f)
-                fields = e.fields[:k] + (f2,) + e.fields[k + 1:]
-                return S.DataCon(e.tag, e.loc, e.region, fields), rule
         return _rule_datacon(ctx, st, e)
     if isinstance(e, S.PrimOp):
-        if not S.is_value(e.lhs):
-            l2, rule = _reduce(ctx, st, e.lhs)
-            return S.PrimOp(e.op, l2, e.rhs), rule
-        if not S.is_value(e.rhs):
-            r2, rule = _reduce(ctx, st, e.rhs)
-            return S.PrimOp(e.op, e.lhs, r2), rule
         return _rule_primop(e)
     if isinstance(e, S.Case):
-        if not S.is_value(e.scrut):
-            s2, rule = _reduce(ctx, st, e.scrut)
-            return S.Case(s2, e.branches), rule
         return _rule_case(ctx, st, e)
     if isinstance(e, S.Var):
         raise SemanticsError("Stuck", f"free variable {e.name}")
@@ -242,8 +270,7 @@ def _rule_letloc(ctx: RunContext, st: SeqState, e: S.LetLoc) -> tuple[S.Expr, st
             ctx.metrics["extra_regions"] += 1
             return e.body, "D-LetLoc-After-NewReg"
         src = deref_concrete(src_cl)
-        r_end, end = end_witness(ctx.decls, le.ty.tycon, src.region,
-                                 src.ext.index, st.store)
+        r_end, end = _value_end(ctx, st, le.ty.tycon, src.region, src.ext.index)
         cl = ConcreteLoc(r_end, Concrete(end), e.loc)
         alloc_region = r_end
         rule = "D-LetLoc-After"
@@ -283,17 +310,15 @@ def _rule_primop(e: S.PrimOp) -> tuple[S.Expr, str]:
     return S.IntLit(v), "D-PrimOp"
 
 
-def _resolve_links(st: SeqState, region: str, index: int) -> tuple[str, int]:
-    """Follow indirection cells to where a value actually starts."""
-    seen = set()
-    while True:
-        hv = st.store.cell(region, index)
-        if not isinstance(hv, IndirectionCell):
-            return region, index
-        if (region, index) in seen:
-            raise SemanticsError("Stuck", f"indirection cycle at ({region},{index})")
-        seen.add((region, index))
-        region, index = hv.region, hv.index
+def _value_end(ctx: RunContext, st: SeqState, tau: str, r: str,
+               i: int) -> tuple[str, int]:
+    """One past the packed value of type tau at (r, i), after its links:
+    its frontier note, or a fresh scan when there is none (or no tag of tau)."""
+    r, i, hv = resolve_links(st.store, r, i)
+    note = st.frontier_notes.get((r, i))
+    if note is not None and isinstance(hv, Tag) and ctx.decls.tycon_of(hv.name) == tau:
+        return note
+    return end_witness(ctx.decls, tau, r, i, st.store)
 
 
 def _rule_datacon(ctx: RunContext, st: SeqState, e: S.DataCon) -> tuple[S.Expr, str]:
@@ -315,7 +340,7 @@ def _rule_datacon(ctx: RunContext, st: SeqState, e: S.DataCon) -> tuple[S.Expr, 
         else:
             # the field value was written earlier; the cell at the cursor is
             # either its first cell or an indirection stitched in by a join
-            cur_r, cur = end_witness(ctx.decls, fty, cur_r, cur, st.store)
+            cur_r, cur = _value_end(ctx, st, fty, cur_r, cur)
     st.sigma[e.loc] = S.PackedType(ctx.decls.tycon_of(e.tag), e.loc, e.region)
     st.nursery.discard(e.loc)
     st.allocsites[r] = e.loc
@@ -337,8 +362,7 @@ def _rule_case(ctx: RunContext, st: SeqState, e: S.Case) -> tuple[S.Expr, str]:
         raise SemanticsError("Stuck", f"no branch for scalar {scrut.value}")
     assert isinstance(scrut, S.ConcreteLocVal)
     cl = deref_concrete(scrut.loc)
-    r, i = _resolve_links(st, cl.region, cl.ext.index)
-    hv = st.store.cell(r, i)
+    r, i, hv = resolve_links(st.store, cl.region, cl.ext.index)
     if hv is None:
         raise SemanticsError("IncompleteValue", f"no cell at ({r},{i})")
     if not isinstance(hv, Tag):
@@ -362,9 +386,8 @@ def _rule_case(ctx: RunContext, st: SeqState, e: S.Case) -> tuple[S.Expr, str]:
     prev: tuple[str, str] | None = None
     origin = scrut.loc.origin
     for fty, (x, xty) in zip(ftys, chosen.fields):
-        fr, fi = _resolve_links(st, cur_r, cur)
+        fr, fi, hv_f = resolve_links(st.store, cur_r, cur)
         if fty == "Int":
-            hv_f = st.store.cell(fr, fi)
             if not isinstance(hv_f, Scalar):
                 raise SemanticsError("IncompleteValue",
                                      f"expected scalar at ({fr},{fi})")
@@ -383,7 +406,8 @@ def _rule_case(ctx: RunContext, st: SeqState, e: S.Case) -> tuple[S.Expr, str]:
                     st.constraints[ploc] = S.AfterValue(
                         S.PackedType(prev[0], prev[1], cl.region))
             prev = (fty, ploc)
-        cur_r, cur = end_witness(ctx.decls, fty, cur_r, cur, st.store)
+        cur_r, cur = (fr, fi + 1) if fty == "Int" \
+            else _value_end(ctx, st, fty, fr, fi)
     return S.substitute(chosen.body, var_map=vm), "D-Case"
 
 
@@ -430,14 +454,7 @@ def _trace_line(n: int, rule: str, before: SeqState, after: SeqState) -> str:
             deltas.append(f"+region {r}")
             old = {}
         for i in sorted(set(heap) - set(old)):
-            hv = heap[i]
-            if isinstance(hv, Tag):
-                txt = hv.name
-            elif isinstance(hv, Scalar):
-                txt = str(hv.value)
-            else:
-                txt = f"→({hv.region},{hv.index})"
-            deltas.append(f"{r}[{i}]={txt}")
+            deltas.append(f"{r}[{i}]={fmt_cell(heap[i])}")
     for l, cl in after.locmap.items():
         if before.locmap.get(l) != cl:
             deltas.append(f"{l}↦({cl.region},{_fmt_ext(cl)})")
@@ -454,14 +471,16 @@ def _fmt_ext(cl: ConcreteLoc) -> str:
 
 
 def verify_frontier_notes(decls: Decls, st: SeqState) -> list[str]:
-    """Compare every cached value end against a fresh end-witness scan."""
+    """Compare every cached value end against a fresh end-witness scan; the
+    scans share one table of the ends they find, so each cell is read once."""
     bad = []
+    ends: dict[tuple[str, int], tuple[str, int]] = {}
     for (r, i), cached in st.frontier_notes.items():
         hv = st.store.cell(r, i)
         if not isinstance(hv, Tag):
             bad.append(f"({r},{i}): no tag under cached end")
             continue
-        fresh = end_witness(decls, decls.tycon_of(hv.name), r, i, st.store)
+        fresh = end_witness(decls, decls.tycon_of(hv.name), r, i, st.store, ends)
         if fresh != cached:
             bad.append(f"({r},{i}): cached {cached}, scanned {fresh}")
     return bad

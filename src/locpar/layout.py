@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field as dcfield
 
 from .store import (Store, ConcreteLoc, Concrete, Tag, Scalar,
-                    IndirectionCell, StoreError, deref_concrete)
+                    IndirectionCell, deref_concrete)
 
 LINK_MARKER = 0xFF   # continuation: the value resumes in another chunk
 PTR_MARKER = 0xFE    # subtree pointer: a whole child lives in another chunk
@@ -92,13 +92,6 @@ class FragReport:
     indirections: int
     total_cells: int
     serialized_fraction: float
-
-    def to_json(self) -> dict:
-        return {"total_regions": self.total_regions,
-                "extra_regions": self.extra_regions,
-                "indirections": self.indirections,
-                "total_cells": self.total_cells,
-                "serialized_fraction": self.serialized_fraction}
 
 
 def fragmentation_report(store: Store, metrics: dict) -> FragReport:
@@ -298,6 +291,27 @@ def traverse_bytes(chunks: Chunks, repeats: int = 9):
 
     Returns ((leaf_sum, leaf_count), median_nanoseconds).
     """
+    one_pass = _traversal(chunks)
+    runs = [one_pass() for _ in range(repeats)]
+    return runs[-1][0], statistics.median(ns for _, ns in runs)
+
+
+def paired_slowdown(packed: Chunks, fragmented: Chunks, pairs: int = 9):
+    """Time packed and fragmented passes alternately: ((aggregate, median
+    ns) for packed, the same for fragmented, the median per-pair ratio of
+    fragmented to packed time).  A pair runs back to back, so a drift in the
+    host's speed moves both sides of its ratio alike."""
+    pass_p, pass_f = _traversal(packed), _traversal(fragmented)
+    runs = [(pass_p(), pass_f()) for _ in range(pairs)]
+    (agg_p, _), (agg_f, _) = runs[-1]
+    return ((agg_p, statistics.median(p[1] for p, _ in runs)),
+            (agg_f, statistics.median(f[1] for _, f in runs)),
+            statistics.median(f[1] / p[1] for p, f in runs))
+
+
+def _traversal(chunks: Chunks):
+    """A function making one timed leaf-sum and leaf-count pass over `chunks`:
+    ((leaf_sum, leaf_count), nanoseconds)."""
     data = bytes(chunks.data)
     schema = chunks.schema
     n = len(data)
@@ -315,6 +329,7 @@ def traverse_bytes(chunks: Chunks, repeats: int = 9):
     def one_pass():
         # cursor scan with a worklist: a packed buffer never pushes (pure
         # linear scan); a fragmented one chases one pointer per edge
+        t0 = time.perf_counter_ns()
         total = 0
         count = 0
         stack = [0]
@@ -354,21 +369,14 @@ def traverse_bytes(chunks: Chunks, repeats: int = 9):
                     todo += nch - 1
         except (struct.error, IndexError) as err:
             raise MalformedBuffer(str(err)) from err
-        return total, count
+        return (total, count), time.perf_counter_ns() - t0
 
     if not data:
         raise MalformedBuffer("empty buffer")
     if n == SCALAR_BYTES:  # a bare scalar value
         (x,) = struct.unpack_from("<q", data, 0)
-        return (x, 1), 0
-    times = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        result = one_pass()
-        t1 = time.perf_counter_ns()
-        times.append(t1 - t0)
-    return result, statistics.median(times)
+        return lambda: ((x, 1), 0)
+    return one_pass
 
 
 ### chunk file format

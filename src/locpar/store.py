@@ -113,19 +113,17 @@ class Store:
 
     def dump(self) -> str:
         """Heap dump: one line per region in creation order."""
-        lines = []
-        for r, heap in self.regions.items():
-            cells = []
-            for i in sorted(heap):
-                hv = heap[i]
-                if isinstance(hv, Tag):
-                    cells.append(hv.name)
-                elif isinstance(hv, Scalar):
-                    cells.append(str(hv.value))
-                else:
-                    cells.append(f"→({hv.region},{hv.index})")
-            lines.append(f"{r}: [{', '.join(cells)}]")
-        return "\n".join(lines)
+        return "\n".join(f"{r}: [{', '.join(fmt_cell(heap[i]) for i in sorted(heap))}]"
+                         for r, heap in self.regions.items())
+
+
+def fmt_cell(hv: HeapValue) -> str:
+    """A cell as dumps and traces print it: tag name, integer, or →(region,index)."""
+    if isinstance(hv, Tag):
+        return hv.name
+    if isinstance(hv, Scalar):
+        return str(hv.value)
+    return f"→({hv.region},{hv.index})"
 
 
 LocationMap = dict[str, ConcreteLoc]
@@ -172,29 +170,62 @@ class Decls:
         return self.constructors[tag][0]
 
 
-def end_witness(decls: Decls, tau: str, region: str, index: int, s: Store) -> tuple[str, int]:
+def resolve_links(s: Store, r: str, i: int) -> tuple[str, int, HeapValue | None]:
+    """Follow indirection cells from (r, i): where a value starts, and its cell."""
+    hv, seen = s.cell(r, i), ()
+    while isinstance(hv, IndirectionCell):
+        if (r, i) in seen:
+            raise StoreError("IndirectionCycle", f"indirection cycle at ({r},{i})")
+        seen = {*seen, (r, i)}
+        r, i = hv.region, hv.index
+        hv = s.cell(r, i)
+    return r, i, hv
+
+
+def end_witness(decls: Decls, tau: str, region: str, index: int, s: Store,
+                ends: dict[tuple[str, int], tuple[str, int]] | None = None
+                ) -> tuple[str, int]:
     """One past the last cell of the value of type tau rooted at (region, index).
 
     Case A reads the tag and folds field extents left to right; scalars occupy
     one cell.  Case B: a cell holding an indirection delegates to the target.
-    Returns (region', end) in the region where the value actually lives.
+    Returns (region', end) in the region where the value actually lives.  The
+    scan keeps its own stack, so any depth can be read.  `ends`, if given,
+    gets the end of every tag cell read, and a tag cell in it is not rescanned.
     """
-    hv = s.cell(region, index)
-    if hv is None:
-        raise StoreError("IncompleteValue", f"no cell at ({region},{index})")
-    if isinstance(hv, IndirectionCell):
-        return end_witness(decls, tau, hv.region, hv.index, s)
-    if tau == "Int":
-        if not isinstance(hv, Scalar):
-            raise StoreError("TagMismatch", f"expected scalar at ({region},{index})")
-        return region, index + 1
-    if not isinstance(hv, Tag):
-        raise StoreError("TagMismatch", f"expected tag at ({region},{index})")
-    if decls.tycon_of(hv.name) != tau:
-        raise StoreError("TagMismatch", f"tag {hv.name} is not a constructor of {tau}")
-    r, cur = region, index + 1
-    for fty in decls.fields(hv.name):
-        r, cur = end_witness(decls, fty, r, cur, s)
+    # field types to scan, the next one last, and with `ends` open values' tag cells
+    todo: list = [tau]
+    r, cur = region, index
+    heap = s.regions.get(r, {})
+    while todo:
+        fty = todo.pop()
+        if type(fty) is tuple:
+            ends[fty] = (r, cur)
+            continue
+        hv = heap.get(cur)
+        if type(hv) is IndirectionCell:
+            r, cur, hv = resolve_links(s, r, cur)
+            heap = s.regions.get(r, {})
+        if hv is None:
+            raise StoreError("IncompleteValue", f"no cell at ({r},{cur})")
+        if fty == "Int":
+            if type(hv) is not Scalar:
+                raise StoreError("TagMismatch", f"expected scalar at ({r},{cur})")
+            cur += 1
+            continue
+        if type(hv) is not Tag:
+            raise StoreError("TagMismatch", f"expected tag at ({r},{cur})")
+        tycon, ftys = decls.constructors[hv.name]
+        if tycon != fty:
+            raise StoreError("TagMismatch", f"tag {hv.name} is not a constructor of {fty}")
+        if ends is not None:
+            if (r, cur) in ends:
+                r, cur = ends[(r, cur)]
+                heap = s.regions.get(r, {})
+                continue
+            todo.append((r, cur))
+        todo += ftys[::-1]
+        cur += 1
     return r, cur
 
 

@@ -9,7 +9,7 @@ locations, and regions start lower-case.  `--` begins a line comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .store import ConcreteLoc, Ivar, Decls
 

@@ -67,13 +67,6 @@ def _is_int(ty: S.Type) -> bool:
 
 ### expression typing
 
-def typecheck_expr(ts: TypeState, e: S.Expr, prog: S.Program, decls: Decls,
-                   ctx: str = "") -> tuple[dict[str, str | None], set[str], S.Type]:
-    """Check e and return the threaded allocsites, nursery, and its type."""
-    ty = _check(ts, e, prog, decls, ctx)
-    return ts.allocsites, ts.nursery, ty
-
-
 def _check(ts: TypeState, e: S.Expr, prog: S.Program, decls: Decls, ctx: str) -> S.Type:
     if isinstance(e, S.IntLit):
         return S.INT
@@ -388,7 +381,7 @@ def typecheck_program(p: S.Program) -> TypedProgram:
         _check_fundecl(fd, p, decls)
     ts = TypeState(allocsites={"r%main": None}, nursery={"l%main"},
                    constraints={"l%main": S.StartOfRegion("r%main")})
-    typecheck_expr(ts, p.main, p, decls, ctx="main")
+    _check(ts, p.main, p, decls, "main")
     return TypedProgram(p, decls)
 
 
@@ -416,11 +409,11 @@ def _check_fundecl(fd: S.FunDecl, p: S.Program, decls: Decls) -> None:
         allocsites[ret.region] = ret.loc
         nursery.add(ret.loc)
     ts = TypeState(gamma, sigma, {}, allocsites, nursery)
-    _, nur, ty = typecheck_expr(ts, fd.body, p, decls, ctx)
+    ty = _check(ts, fd.body, p, decls, ctx)
     if not _types_agree(fd.ret, ty):
         raise LocTypeError("TypeMismatch",
                            f"{fd.name} declared to return {fd.ret}, body has {ty}", ctx)
-    if ret is not None and ret.loc in nur:
+    if ret is not None and ret.loc in ts.nursery:
         raise LocTypeError("TypeMismatch",
                            f"{fd.name} never writes its output location {ret.loc}", ctx)
 

@@ -8,6 +8,7 @@ if str(TESTS_DIR) not in sys.path:
     sys.path.insert(0, str(TESTS_DIR))
 
 EXAMPLES = TESTS_DIR / "corpus"
+BENCH_CORPUS = TESTS_DIR.parent / "benchmarks" / "corpus"
 
 GOOD_EXAMPLES = sorted(p.name for p in EXAMPLES.glob("*.lcp")
                        if not p.name.startswith("bad_"))
@@ -29,6 +30,23 @@ def load_program():
         return cache[name]
 
     return _load
+
+
+def bench_source(name: str, size: int, base: int = 7) -> str:
+    """A benchmark corpus program (spine, buildtree, sumtree, add1tree) at
+    one spine length or tree depth."""
+    import string
+    text = (BENCH_CORPUS / f"{name}.lcp").read_text()
+    return string.Template(text).substitute(depth=size, length=size, base=base)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run a test under Python's default recursion limit of 1000."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
 
 
 @pytest.fixture(scope="session")

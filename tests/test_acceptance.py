@@ -209,10 +209,8 @@ def test_criterion_7_directional_layout():
     schema = L.tree_schema()
     packed = L.byte_serialize(tree, schema, mode="packed")
     frag = L.byte_serialize(tree, schema, mode="per-node-fragmented")
-    (agg_p, t_p) = L.traverse_bytes(packed, repeats=9)
-    (agg_f, t_f) = L.traverse_bytes(frag, repeats=9)
+    (agg_p, _), (agg_f, _), slowdown = L.paired_slowdown(packed, frag, pairs=9)
     assert agg_p == agg_f == (2**depth, 2**depth)
-    slowdown = t_f / t_p
     assert slowdown >= 1.5, f"fragmented only {slowdown:.2f}x slower"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0

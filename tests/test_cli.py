@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import EXAMPLES
+from conftest import EXAMPLES, bench_source
 
 from locpar.cli import main
 
@@ -52,6 +52,25 @@ class TestRunSeq:
                                "--dump-heap")
         assert code == 0
         assert "[Plus, Lit, 20, Lit, 22]" in out
+
+    def test_deep_spine_under_default_recursion_limit(self, capsys, tmp_path,
+                                                      default_recursion_limit):
+        n = 10_000
+        prog = tmp_path / "spine.lcp"
+        prog.write_text(bench_source("spine", n))
+        code, out, _ = run_cli(capsys, "run", str(prog), "--dump-heap")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "value at (r%0, 0)"
+        assert lines[1] == "r%0: [" + "Su, " * n + "Z]"
+
+    def test_nesting_past_the_recursion_limit_exits_2(self, capsys, tmp_path,
+                                                      default_recursion_limit):
+        prog = tmp_path / "deep.lcp"
+        prog.write_text("main = " + "(1 + " * 300 + "1" + ")" * 300 + "\n")
+        code, _, err = run_cli(capsys, "run", str(prog))
+        assert code == 2
+        assert diags(err)[0]["code"] == "ResourceExhausted"
 
     def test_metrics_to_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),

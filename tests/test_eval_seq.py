@@ -2,9 +2,13 @@
 
 import pytest
 
+from conftest import GOOD_EXAMPLES, bench_source
+from locpar import eval_par as P
+from locpar import eval_seq as E
 from locpar import syntax as S
-from locpar.eval_seq import SemanticsError, run_seq, verify_frontier_notes
-from locpar.store import IndirectionCell, Scalar, Tag
+from locpar.eval_seq import (RunContext, SemanticsError, SeqState, Value,
+                             run_seq, step_seq, verify_frontier_notes)
+from locpar.store import IndirectionCell, Scalar, Store, Tag
 from locpar.typecheck import typecheck_program
 
 
@@ -59,6 +63,16 @@ class TestConstFold:
         res = run_seq(tp)
         assert verify_frontier_notes(tp.decls, res.state) == []
 
+    def test_tampered_notes_are_flagged(self, load_program):
+        # the output Plus (Lit 20) (Lit 22) sits at cells 0-4 of its region
+        tp = load_program("constfold.lcp")
+        out_r = run_seq(tp).value.loc.region
+        for key in [(out_r, 1), (out_r, 0)]:
+            st = run_seq(tp).state
+            st.frontier_notes[key] = (out_r, 4)
+            bad = verify_frontier_notes(tp.decls, st)
+            assert len(bad) == 1 and bad[0].startswith(f"({out_r},{key[1]})")
+
 
 class TestScalarResults:
     def test_sum_and_count(self, load_program, canonical):
@@ -105,3 +119,78 @@ main = (g [l@r] 3)
         prog = S.parse_program(src)
         with pytest.raises(Exception):
             run_seq(typecheck_program(prog))
+
+
+HOLE = S.Var("[]")
+
+
+def decomposition(st):
+    """The focus and the frames, each frame's stale hole masked."""
+    return st.focus, [(E._plug(node, k, HOLE), k) for node, k in st.frames]
+
+
+def assert_decomposed(st):
+    assert E._open_hole(st.focus) is None
+    assert not (st.frames and S.is_value(st.focus))
+    assert decomposition(SeqState(st.store, st.locmap, st.expr)) \
+        == decomposition(st)
+
+
+def count_calls(monkeypatch, module, name, when=lambda *a: True):
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += when(*args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestRefocusing:
+    @pytest.mark.parametrize("name", GOOD_EXAMPLES)
+    def test_every_state_redecomposes_alike(self, load_program, name):
+        tp = load_program(name)
+        ctx, st = RunContext(tp), SeqState(Store(), {}, tp.program.main)
+        assert_decomposed(st)
+        while not isinstance(step_seq(ctx, st), Value):
+            assert_decomposed(st)
+        for implicit in (False, True):
+            for sched in [P.always_fork()] + [P.random_schedule(k) for k in range(5)]:
+                m = P.Machine(tp, implicit_par=implicit)
+                while actions := m.enabled():
+                    m.apply(P.choose_action(sched, actions, len(m.decisions)))
+                    for task in m.ts.tasks.values():
+                        assert_decomposed(task.state)
+
+    @pytest.mark.parametrize("name,size", [("spine", 200), ("buildtree", 8),
+                                           ("sumtree", 7)])
+    def test_value_ends_come_from_notes(self, monkeypatch, name, size):
+        tp = typecheck_program(S.parse_program(bench_source(name, size)))
+        packed = count_calls(monkeypatch, E, "end_witness",
+                             lambda decls, tau, *rest: tau != "Int")
+        res = run_seq(tp)
+        assert packed[0] == 0
+        assert verify_frontier_notes(tp.decls, res.state) == []
+        assert packed[0] > 0  # the count sees the module's scans
+
+    def test_plugs_per_step_do_not_grow_with_depth(self, monkeypatch):
+        plugs = count_calls(monkeypatch, E, "_plug")
+        per_step = []
+        for n in (100, 1000):
+            tp = typecheck_program(S.parse_program(bench_source("spine", n)))
+            plugs[0] = 0
+            steps = run_seq(tp).metrics["steps"]
+            per_step.append(plugs[0] / steps)
+        assert per_step[0] < 1 and abs(per_step[1] - per_step[0]) < 0.01
+
+    def test_deep_spine_under_default_recursion_limit(self,
+                                                      default_recursion_limit):
+        n = 10_000
+        tp = typecheck_program(S.parse_program(bench_source("spine", n)))
+        res = run_seq(tp)
+        assert verify_frontier_notes(tp.decls, res.state) == []
+        heap = res.store.regions[res.value.loc.region]
+        assert res.value.loc.ext.index == 0
+        assert heap == {**{i: Tag("Su") for i in range(n)}, n: Tag("Z")}

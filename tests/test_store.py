@@ -106,6 +106,33 @@ class TestEndWitness:
         with pytest.raises(StoreError):
             ST.end_witness(EXP_DECLS, "Exp", "r", 0, s)
 
+    def test_indirection_cycle_raises(self):
+        s = Store().add_region("r").add_region("r2")
+        s = ST.write_cell(s, "r", 0, IndirectionCell("r2", 0))
+        s = ST.write_cell(s, "r2", 0, IndirectionCell("r", 0))
+        with pytest.raises(StoreError) as ei:
+            ST.end_witness(EXP_DECLS, "Exp", "r", 0, s)
+        assert ei.value.code == "IndirectionCycle"
+
+    def test_deep_value_needs_no_recursion(self):
+        nat = Decls({"Z": ("Nat", []), "Su": ("Nat", ["Nat"])})
+        n = 20_000
+        s = Store().add_region("r")
+        s.regions["r"] = {i: Tag("Su") for i in range(n)}
+        s.regions["r"][n] = Tag("Z")
+        assert ST.end_witness(nat, "Nat", "r", 0, s) == ("r", n + 1)
+
+    def test_ends_records_every_tag_and_is_reused(self):
+        s = exp_store()
+        ends = {}
+        assert ST.end_witness(EXP_DECLS, "Exp", "r", 0, s, ends) == ("r", 5)
+        assert ends == {("r", 0): ("r", 5), ("r", 1): ("r", 3),
+                        ("r", 3): ("r", 5)}
+        # an entry stands for its whole sub-value, which is not read again:
+        # a wrong one sends the scan past the value's last cell
+        with pytest.raises(StoreError):
+            ST.end_witness(EXP_DECLS, "Exp", "r", 0, s, {("r", 1): ("r", 9)})
+
 
 class TestMerge:
     def test_disjoint_regions_merge(self):
