@@ -16,7 +16,12 @@ another task holds its ivar, so every waiter on one ivar can join it.
 One `Machine` owns a run's task set and applies fork, step and join actions
 to it in place.  Three loops choose its actions: `run_par` follows a
 schedule, `enumerate_schedules` walks every choice depth-first over machine
-copies, and `run_threads` lets each pool thread drive its own task.
+copies, and `run_threads` lets each pool thread drive its own task.  The
+explorer still visits and checks every reachable state, but skips the
+transitions that commute into states it has already visited (sleep sets):
+actions of different tasks commute unless one is a join or both are forks,
+because tasks own private stores and the canonical hash renames fresh names
+by first appearance.
 """
 
 from __future__ import annotations
@@ -455,6 +460,9 @@ def check_wellformed(tts, ts: TaskSet, ctx: RunContext) -> list[str]:
     for task in ts.ordered():
         st = task.state
         label = f"task {task.tid}"
+        # the store does not change during the check, so the task's scans
+        # share one table of value ends
+        ends: dict = {}
         # dom(sigma) and the nursery stay disjoint
         both = set(st.sigma) & st.nursery
         if both:
@@ -475,16 +483,16 @@ def check_wellformed(tts, ts: TaskSet, ctx: RunContext) -> list[str]:
             if l in st.sigma and st.sigma[l] is not None:
                 try:
                     end_witness(ctx.decls, st.sigma[l].tycon,
-                                dcl.region, dcl.ext.index, st.store)
+                                dcl.region, dcl.ext.index, st.store, ends)
                 except StoreError as err:
                     v.append(f"{label}: materialized {l} incomplete: {err}")
-        v.extend(_check_constraints(ctx, task))
-        v.extend(_check_allocation(ctx, task))
+        v.extend(_check_constraints(ctx, task, ends))
+        v.extend(_check_allocation(ctx, task, ends))
     v.extend(_check_region_exclusivity(ctx, ts))
     return v
 
 
-def _check_constraints(ctx: RunContext, task: Task) -> list[str]:
+def _check_constraints(ctx: RunContext, task: Task, ends: dict) -> list[str]:
     st = task.state
     label = f"task {task.tid}"
     v: list[str] = []
@@ -503,12 +511,12 @@ def _check_constraints(ctx: RunContext, task: Task) -> list[str]:
             if d.region != ds.region or d.ext.index != ds.ext.index + 1:
                 v.append(f"{label}: {l} is not one past {le.loc}")
         else:
-            v.extend(_check_after_constraint(ctx, task, l, le))
+            v.extend(_check_after_constraint(ctx, task, l, le, ends))
     return v
 
 
 def _check_after_constraint(ctx: RunContext, task: Task, l: str,
-                            le: S.AfterValue) -> list[str]:
+                            le: S.AfterValue, ends: dict) -> list[str]:
     # exactly one of three must hold: the location is still an ivar, it is an
     # indirection to the start of a fresh region, or it sits exactly at the
     # end witness of the value it follows
@@ -526,7 +534,7 @@ def _check_after_constraint(ctx: RunContext, task: Task, l: str,
         ds = deref_concrete(src)
         try:
             r_end, end = end_witness(ctx.decls, le.ty.tycon,
-                                     ds.region, ds.ext.index, st.store)
+                                     ds.region, ds.ext.index, st.store, ends)
             if (cl.region, cl.ext.index) == (r_end, end):
                 holds.append("end-witness")
         except StoreError:
@@ -544,7 +552,7 @@ def _check_after_constraint(ctx: RunContext, task: Task, l: str,
     return []
 
 
-def _check_allocation(ctx: RunContext, task: Task) -> list[str]:
+def _check_allocation(ctx: RunContext, task: Task, ends: dict) -> list[str]:
     st = task.state
     label = f"task {task.tid}"
     v: list[str] = []
@@ -582,7 +590,8 @@ def _check_allocation(ctx: RunContext, task: Task) -> list[str]:
             # most recent completed allocation must end exactly at the frontier
             try:
                 r_end, end = end_witness(ctx.decls, st.sigma[l].tycon,
-                                         dcl.region, dcl.ext.index, st.store)
+                                         dcl.region, dcl.ext.index, st.store,
+                                         ends)
                 ap = alloc_frontier(r_end, st.store)
                 # cells past the value's end may only be links stitched in by
                 # joins on behalf of successor fields
@@ -598,7 +607,8 @@ def _check_allocation(ctx: RunContext, task: Task) -> list[str]:
         if isinstance(cl.ext, Concrete) and task.rtype is not None:
             try:
                 r_end, end = end_witness(ctx.decls, task.rtype.tycon,
-                                         cl.region, cl.ext.index, st.store)
+                                         cl.region, cl.ext.index, st.store,
+                                         ends)
                 if end <= alloc_frontier(r_end, st.store):
                     v.append(f"{label}: completed value ends at {end} but "
                              f"{r_end} is allocated past it")
@@ -647,42 +657,84 @@ class BudgetExceeded(Exception):
     pass
 
 
+def _independent(a: Action, b: Action) -> bool:
+    """Whether two actions commute and neither disables the other.
+
+    Only actions of different tasks, neither a join and not both forks,
+    count as independent:
+    - tasks own private stores, and `canonical_hash` renames fresh names by
+      first appearance, so steps (and a step and a fork) of different tasks
+      reach the same state in either order;
+    - two forks decide which child gets which `next_tid`, and they share
+      the fork bound;
+    - a join moves a producer out of the live tasks and rewrites the
+      consumer's store and ivars;
+    - whether a step or a fork is enabled depends on its task's own state
+      (and, for a fork, on the bound, which only forks move), so another
+      task's step or fork cannot disable it.
+    """
+    return a[1] != b[1] and a[0] != "join" and b[0] != "join" \
+        and not (a[0] == b[0] == "fork")
+
+
 def enumerate_schedules(tp, bound: int, state_cap: int = 200_000,
                         wf_callback=None):
     """Depth-first enumeration of every interleaving and fork decision.
 
     Forks beyond `bound` are pruned (the fork action is simply not offered).
     States are deduplicated by a canonical hash that renames fresh regions,
-    ivars, and locations by first appearance.  Yields a Terminal per distinct
-    final configuration reached.
+    ivars, and locations by first appearance.  Every reachable state is
+    visited, passed to `wf_callback` once, and counted against `state_cap`;
+    a Terminal is yielded per distinct final configuration reached.
+
+    Transitions that can only lead back to a visited state are skipped with
+    sleep sets (Godefroid 1996).  Actions of different tasks are independent
+    unless one is a join or both are forks: tasks own private stores, and
+    the hash renames fresh names, so such actions commute (see
+    `_independent`).  Each stacked state carries a sleep set: the actions,
+    independent of the one that reached it, whose orders from here a sibling
+    explored earlier already covers.  A first visit explores the enabled
+    actions outside its sleep set and stores the set under the state's hash.
+    A revisit explores only the stored actions its own sleep set lacks, and
+    stores the intersection; it checks and yields nothing.  Sleep sets drop
+    transitions, never states, so every reachable state is still visited
+    and checked; the tests also hold the order of first visits and the
+    terminals' decision lists to those of a search that applies every
+    enabled action.
     """
-    seen: set[int] = set()
-    stack = [Machine(tp)]
+    seen: dict[int, frozenset[Action]] = {}  # hash -> sleep set stored
+    stack: list[tuple[Machine, frozenset[Action]]] = [(Machine(tp), frozenset())]
     while stack:
-        m = stack.pop()
+        m, sleep = stack.pop()
         h = canonical_hash(m.ts)
-        if h in seen:
+        stored = seen.get(h)
+        if stored is not None and stored <= sleep:
             continue
-        seen.add(h)
-        if len(seen) > state_cap:
-            raise BudgetExceeded(f"more than {state_cap} states")
-        if wf_callback is not None:
-            wf_callback(m.ctx, m.ts)
         actions = m.enabled()
         if m.ctx.metrics["forks"] >= bound:
             actions = [a for a in actions if a[0] != "fork"]
-        if not actions:
-            res = m.result()  # a deadlock raises NoEnabledTransition
-            yield Terminal(m.decisions, res.value, res.store)
-            continue
-        # the last action is popped first; it takes `m` itself, once the
-        # other actions have taken their copies
-        for act in actions[:-1]:
-            m2 = m.copy()
-            m2.apply(act)
-            stack.append(m2)
-        m.apply(actions[-1])
-        stack.append(m)
+        if stored is None:
+            seen[h] = sleep
+            if len(seen) > state_cap:
+                raise BudgetExceeded(f"more than {state_cap} states")
+            if wf_callback is not None:
+                wf_callback(m.ctx, m.ts)
+            if not actions:
+                res = m.result()  # a deadlock raises NoEnabledTransition
+                yield Terminal(m.decisions, res.value, res.store)
+                continue
+            todo = [a for a in actions if a not in sleep]
+        else:
+            todo = [a for a in actions if a in stored and a not in sleep]
+            sleep = seen[h] = stored & sleep
+        # the last action is popped first, so each child sleeps on the
+        # actions after its own; it takes `m` itself, once the other actions
+        # have taken their copies
+        for i, act in enumerate(todo):
+            child = m if i == len(todo) - 1 else m.copy()
+            child.apply(act)
+            stack.append((child, frozenset(
+                b for b in (*sleep, *todo[i + 1:]) if _independent(act, b))))
 
 
 ### canonical hashing

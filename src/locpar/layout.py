@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field as dcfield
 
 from .store import (Store, ConcreteLoc, Concrete, Tag, Scalar,
-                    IndirectionCell, deref_concrete)
+                    IndirectionCell, StoreError, deref_concrete, resolve_links)
 
 LINK_MARKER = 0xFF   # continuation: the value resumes in another chunk
 PTR_MARKER = 0xFE    # subtree pointer: a whole child lives in another chunk
@@ -52,35 +52,56 @@ class MalformedBuffer(Exception):
 
 
 def flatten_value(root: ConcreteLoc, tau: str, store: Store, decls):
-    """Read a serialized value back as a pure tree, following links."""
+    """Read a serialized value back as a pure tree, following links.
+
+    The read keeps its own stack of open constructors, so any depth can be
+    read."""
     cl = deref_concrete(root)
     if not isinstance(cl.ext, Concrete):
         raise IncompleteValue(f"root of {tau} is not a concrete address")
-    v, _, _ = _flatten_at(decls, tau, cl.region, cl.ext.index, store)
-    return v
-
-
-def _flatten_at(decls, tau: str, region: str, index: int, store: Store):
-    cell = store.cell(region, index)
-    if cell is None:
-        raise IncompleteValue(f"missing cell at ({region}, {index})")
-    if isinstance(cell, IndirectionCell):
-        # the value and everything after it continue in the target region
-        return _flatten_at(decls, tau, cell.region, cell.index, store)
-    if tau == "Int":
-        if not isinstance(cell, Scalar):
-            raise IncompleteValue(f"expected scalar at ({region}, {index})")
-        return Leaf(cell.value), region, index + 1
-    if not isinstance(cell, Tag):
-        raise IncompleteValue(f"expected tag at ({region}, {index})")
-    if decls.tycon_of(cell.name) != tau:
-        raise IncompleteValue(f"tag {cell.name} is not a {tau} constructor")
-    children = []
-    r, i = region, index + 1
-    for fty in decls.fields(cell.name):
-        child, r, i = _flatten_at(decls, fty, r, i, store)
-        children.append(child)
-    return Node(cell.name, tuple(children)), r, i
+    r, i = cl.region, cl.ext.index
+    heap = store.regions.get(r, {})
+    # open constructors: (tag, field types, the fields read so far)
+    stack: list[tuple[str, list[str], list]] = []
+    while True:
+        cell = heap.get(i)
+        if type(cell) is IndirectionCell:
+            # the value and everything after it continue in the target region
+            try:
+                r, i, cell = resolve_links(store, r, i)
+            except StoreError as err:
+                raise IncompleteValue(err.message) from None
+            heap = store.regions.get(r, {})
+        if cell is None:
+            raise IncompleteValue(f"missing cell at ({r}, {i})")
+        if tau == "Int":
+            if type(cell) is not Scalar:
+                raise IncompleteValue(f"expected scalar at ({r}, {i})")
+            v = Leaf(cell.value)
+        else:
+            if type(cell) is not Tag:
+                raise IncompleteValue(f"expected tag at ({r}, {i})")
+            tycon, ftys = decls.constructors[cell.name]
+            if tycon != tau:
+                raise IncompleteValue(f"tag {cell.name} is not a {tau} constructor")
+            if ftys:
+                stack.append((cell.name, ftys, []))
+                tau = ftys[0]
+                i += 1
+                continue
+            v = Node(cell.name, ())
+        i += 1
+        # hand the finished value to the constructors it completes
+        while stack:
+            tag, ftys, fields = stack[-1]
+            fields.append(v)
+            if len(fields) < len(ftys):
+                tau = ftys[len(fields)]
+                break
+            stack.pop()
+            v = Node(tag, tuple(fields))
+        else:
+            return v
 
 
 ### fragmentation report

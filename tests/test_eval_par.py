@@ -6,7 +6,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GOOD_EXAMPLES
+from conftest import GOOD_EXAMPLES, bench_source
 from locpar import eval_par as P
 from locpar import syntax as S
 from locpar.eval_seq import (SemanticsError, SeqState, Stepped, blocked_on,
@@ -354,6 +354,130 @@ class TestTwoWaiters:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_threads_give_the_sum(self, workers):
         assert run_threads_bounded(two_waiters(), workers).value.value == 10
+
+
+def _explore_full(tp, bound, wf_callback):
+    """The unreduced search: pop, hash, dedupe, callback, and push a child
+    for every enabled action.  The reference the sleep-set search in
+    `enumerate_schedules` must agree with."""
+    seen = set()
+    stack = [P.Machine(tp)]
+    while stack:
+        m = stack.pop()
+        h = P.canonical_hash(m.ts)
+        if h in seen:
+            continue
+        seen.add(h)
+        wf_callback(m.ctx, m.ts)
+        actions = m.enabled()
+        if m.ctx.metrics["forks"] >= bound:
+            actions = [a for a in actions if a[0] != "fork"]
+        if not actions:
+            res = m.result()
+            yield P.Terminal(m.decisions, res.value, res.store)
+            continue
+        for act in actions:
+            child = m.copy()
+            child.apply(act)
+            stack.append(child)
+
+
+def explored(search, tp, bound):
+    """The states a search checks, in order, as (hash, violations), and the
+    decision lists of its terminals."""
+    visits = []
+
+    def wf_cb(ctx, ts):
+        visits.append((P.canonical_hash(ts), P.check_wellformed(None, ts, ctx)))
+
+    terms = [t.decisions for t in search(tp, bound, wf_callback=wf_cb)]
+    return visits, terms
+
+
+def bench_program(name, size):
+    return typecheck_program(S.parse_program(bench_source(name, size)))
+
+
+class TestSleepSets:
+    @pytest.mark.parametrize("name,bound", [
+        ("constfold.lcp", 3), ("constfold-deep.lcp", 3), ("interp.lcp", 3),
+        ("add1tree.lcp", 1), ("copytree.lcp", 1), ("mirror.lcp", 1)])
+    def test_corpus_explores_as_the_full_search(self, load_program, name,
+                                                bound):
+        tp = load_program(name)
+        assert explored(P.enumerate_schedules, tp, bound) == \
+            explored(_explore_full, tp, bound)
+
+    @pytest.mark.parametrize("make,bound", [
+        pytest.param(two_waiters, 2, id="two-waiters"),
+        # buildtree-2 at bound 2 revisits states with smaller sleep sets
+        pytest.param(lambda: bench_program("buildtree", 2), 2, id="buildtree-2"),
+        pytest.param(lambda: bench_program("add1tree", 1), 2, id="add1tree-1")])
+    def test_explores_as_the_full_search(self, make, bound):
+        tp = make()
+        visits, terms = explored(P.enumerate_schedules, tp, bound)
+        assert visits and terms
+        assert (visits, terms) == explored(_explore_full, tp, bound)
+
+    def test_skips_commuting_transitions(self, monkeypatch):
+        # the full search applies 2,880 actions to reach these 1,555 states
+        tp = bench_program("buildtree", 2)
+        applied = [0]
+        apply = P.Machine.apply
+
+        def counted(m, act):
+            applied[0] += 1
+            return apply(m, act)
+
+        monkeypatch.setattr(P.Machine, "apply", counted)
+        states = [0]
+
+        def wf_cb(ctx, ts):
+            states[0] += 1
+
+        terms = list(P.enumerate_schedules(tp, 1, wf_callback=wf_cb))
+        assert (states[0], len(terms)) == (1_555, 5)
+        assert applied[0] <= 1_600
+
+    def test_independence(self):
+        ind = P._independent
+        assert ind(("step", 1), ("step", 2))
+        assert ind(("step", 1), ("fork", 2)) and ind(("fork", 2), ("step", 1))
+        # one task's actions, forks of two tasks, and joins are dependent
+        assert not ind(("step", 1), ("step", 1))
+        assert not ind(("step", 1), ("fork", 1))
+        assert not ind(("fork", 1), ("fork", 2))
+        for other in [("step", 2), ("fork", 2), ("join", 2)]:
+            assert not ind(("join", 1), other)
+            assert not ind(other, ("join", 1))
+
+
+# The spawn let sits under a `+` operand rather than among the leading let
+# frames, so no task can split there: always-fork runs it inline.
+SPAWN_UNDER_OPERAND = """
+data Tree = Leaf Int | Node Tree Tree
+
+fun mk [l@r] (k : Int) : Tree@l@r = (Leaf l@r k)
+
+fun sum [l@r] (t : Tree@l@r) : Int =
+  case t of {
+    Leaf (x : Int@lx@r) -> x
+  ; Node (a : Tree@la@r) (b : Tree@lb@r) -> 0
+  }
+
+main =
+  letregion r in
+  letloc l@r = start r in
+  1 + (let t : Tree@l@r = spawn (mk [l@r] 5) in (sum [l@r] t))
+"""
+
+
+class TestSpawnRedex:
+    def test_spawn_let_under_an_operand_runs_inline(self):
+        tp = typecheck_program(S.parse_program(SPAWN_UNDER_OPERAND))
+        res = P.run_par(tp, P.always_fork())
+        assert res.metrics["forks"] == 0
+        assert res.value == run_seq(tp).value == S.IntLit(6)
 
 
 def run_threads_bounded(tp, workers, seconds=60, opts=None):

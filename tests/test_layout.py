@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from locpar import layout as L
 from locpar import eval_par as P
 from locpar.eval_seq import run_seq
+from locpar.store import (Concrete, ConcreteLoc, Decls, IndirectionCell,
+                          Store, Tag)
 
 EXP_SCHEMA = L.Schema({"Lit": ("Int",), "Plus": ("Exp", "Exp")})
 
@@ -47,6 +49,30 @@ class TestFlatten:
         del store.regions[out_r][4]
         with pytest.raises(L.IncompleteValue):
             L.flatten_value(res.value.loc, "Exp", store, tp.decls)
+
+    def test_deep_spine_flattens_under_default_recursion_limit(
+            self, default_recursion_limit):
+        # a 10,000-deep spine whose second half continues in another region
+        # through a link, read back without recursion
+        n = 10_000
+        half = n // 2
+        store = Store({"r": {**{i: Tag("Su") for i in range(half)},
+                             half: IndirectionCell("r2", 0)},
+                       "r2": {**{i: Tag("Su") for i in range(n - half)},
+                              n - half: Tag("Z")}})
+        decls = Decls({"Z": ("Nat", []), "Su": ("Nat", ["Nat"])})
+        v = L.flatten_value(ConcreteLoc("r", Concrete(0)), "Nat", store, decls)
+        depth = 0
+        while v.tag == "Su":
+            (v,) = v.children
+            depth += 1
+        assert depth == n and v == L.Node("Z", ())
+
+    def test_link_cycle_is_incomplete(self):
+        store = Store({"r": {0: Tag("Su"), 1: IndirectionCell("r", 1)}})
+        decls = Decls({"Z": ("Nat", []), "Su": ("Nat", ["Nat"])})
+        with pytest.raises(L.IncompleteValue, match="cycle"):
+            L.flatten_value(ConcreteLoc("r", Concrete(0)), "Nat", store, decls)
 
 
 class TestByteSerialization:
