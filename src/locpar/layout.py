@@ -1,12 +1,12 @@
 """Canonical value extraction, fragmentation reports, byte serialization.
 
-Byte encoding widths: constructor tag 1 byte, scalar 8 bytes little-endian,
-link 9 bytes (a 0xFF marker followed by a u64 absolute offset into the
-logical concatenation of all chunks).  Packed mode lays a value out in
-preorder, starting a fresh chunk (doubling size up to a cap) whenever fewer
-than a link's worth of bytes would remain; per-node-fragmented mode gives
-every constructor node its own chunk and joins them with links — the fully
-fragmented worst case.
+Byte encoding widths: tag 1 byte, scalar 8 bytes little-endian, link 9 bytes
+(a marker, then a u64 absolute offset into the concatenated chunks).  Packed
+mode lays a value out in preorder, starting a fresh chunk (doubling size up
+to a cap) whenever fewer than a link's worth of bytes would remain;
+per-node-fragmented mode gives every constructor its own chunk, joined by
+pointers.  `Schema` builds the per-tag table that both serializers and the
+traversal read, and rejects a scalar field after a packed one.
 """
 
 from __future__ import annotations
@@ -142,16 +142,26 @@ class ChunkPolicy:
 
 @dataclass(frozen=True)
 class Schema:
-    """Tag table for byte encoding: field kinds per constructor tag."""
+    """Field kinds per constructor tag; scalars must precede packed fields.
+    `table` maps a tag to (tag byte, scalar count k, packed field count, a
+    packer of (tag byte, *k scalars), that piece's byte width)."""
     fields_of: dict[str, tuple[str, ...]]  # tag -> field type names
 
     def __post_init__(self):
-        object.__setattr__(self, "tag_ids",
-                           {t: i for i, t in enumerate(sorted(self.fields_of))})
-        object.__setattr__(self, "tag_names",
-                           {i: t for t, i in self.tag_ids.items()})
         if len(self.fields_of) >= PTR_MARKER:
             raise ValueError("too many constructors for one-byte tags")
+        table = {}
+        for tid, tag in enumerate(sorted(self.fields_of)):
+            fks = self.fields_of[tag]
+            k = sum(1 for f in fks if f == "Int")
+            if "Int" in fks[k:]:
+                raise ValueError(f"scalar after packed field in {tag}")
+            table[tag] = (tid, k, len(fks) - k,
+                          struct.Struct("<B" + "q" * k).pack,
+                          TAG_BYTES + SCALAR_BYTES * k)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "tag_names",
+                           {e[0]: t for t, e in table.items()})
 
     @classmethod
     def from_decls(cls, decls) -> "Schema":
@@ -183,81 +193,101 @@ def byte_serialize(v, schema: Schema, policy: ChunkPolicy = ChunkPolicy(),
     raise ValueError(f"unknown mode {mode!r}")
 
 
+_SCALAR = struct.Struct("<q").pack
+_LINK = struct.Struct("<BQ").pack
+_OFFSET = struct.Struct("<Q").pack_into
+
+
 def _serialize_packed(v, schema: Schema, policy: ChunkPolicy) -> Chunks:
+    cap, growth = policy.cap, policy.growth
+    capacity = policy.initial
+    if isinstance(v, Leaf):
+        if SCALAR_BYTES + LINK_BYTES > cap:
+            raise ValueTooLarge("scalar exceeds chunk cap")
+        return Chunks(bytearray(_SCALAR(v.value)), [0], 0, schema, [capacity])
+    # preorder over a tree that may share subtrees.  A tag and its scalars are
+    # one piece, so continuation markers sit only at tag positions.
+    table = schema.table
     data = bytearray()
     boundaries = [0]
-    capacities = [policy.initial]
-    links = 0
-    capacity = policy.initial
+    capacities = [capacity]
     used = 0
-
-    def emit(piece: bytes):
-        nonlocal capacity, used, links
-        w = len(piece)
-        if w + LINK_BYTES > policy.cap:
-            raise ValueTooLarge(f"cell of {w} bytes exceeds chunk cap")
-        if used + w + LINK_BYTES > capacity and used > 0:
-            # close this chunk with a link to the start of the next one
-            data.extend(struct.pack("<BQ", LINK_MARKER, len(data) + LINK_BYTES))
-            links += 1
-            boundaries.append(len(data))
-            capacity = min(capacity * policy.growth, policy.cap)
-            while w + LINK_BYTES > capacity:
-                capacity = min(capacity * policy.growth, policy.cap)
-            capacities.append(capacity)
-            used = 0
-        data.extend(piece)
-        used += w
-
-    # explicit stack: preorder over a tree that may share subtree objects.
-    # A constructor's tag and its (leading) scalar fields are emitted as one
-    # atomic piece so that chunk-continuation markers can only ever sit at a
-    # tag position — scalar bytes are free to collide with marker values.
-    if isinstance(v, Leaf):
-        emit(struct.pack("<q", v.value))
-        return Chunks(data, boundaries, links, schema, capacities)
     stack = [v]
     while stack:
         node = stack.pop()
-        fks = schema.fields_of[node.tag]
-        k = sum(1 for f in fks if f == "Int")
-        piece = bytes([schema.tag_ids[node.tag]]) + b"".join(
-            struct.pack("<q", c.value) for c in node.children[:k])
-        emit(piece)
-        stack.extend(reversed(node.children[k:]))
-    return Chunks(data, boundaries, links, schema, capacities)
+        tid, k, nch, pack, w = table[node.tag]
+        if w + LINK_BYTES > cap:
+            raise ValueTooLarge(f"cell of {w} bytes exceeds chunk cap")
+        if used + w + LINK_BYTES > capacity and used > 0:
+            # close this chunk with a link to the start of the next one
+            data += _LINK(LINK_MARKER, len(data) + LINK_BYTES)
+            boundaries.append(len(data))
+            capacity = min(capacity * growth, cap)
+            while w + LINK_BYTES > capacity:
+                capacity = min(capacity * growth, cap)
+            capacities.append(capacity)
+            used = 0
+        used += w
+        kids = node.children
+        if k == 0:
+            data.append(tid)
+        elif k == 1:
+            data += pack(tid, kids[0].value)
+        else:
+            data += pack(tid, *[c.value for c in kids[:k]])
+        if nch:
+            stack += kids[k:][::-1]
+    # one continuation link closes every chunk but the last
+    return Chunks(data, boundaries, len(boundaries) - 1, schema, capacities)
 
 
 def _serialize_per_node(v, schema: Schema, policy: ChunkPolicy) -> Chunks:
+    if isinstance(v, Leaf):
+        return Chunks(bytearray(_SCALAR(v.value)), [0], 0, schema)
+    # preorder: each node is a chunk, each packed field a pointer.  The first
+    # child's chunk follows its parent's, so that pointer is written at once;
+    # a later child is pushed under its pointer's offset, patched at its pop.
+    table = schema.table
+    cap = policy.cap
+    blank = _LINK(PTR_MARKER, 0)
     data = bytearray()
-    boundaries: list[int] = []
-    links = 0
-    # explicit stack of (link slot or None, node), popped in preorder: each
-    # constructor node becomes its own chunk, and each packed (non-scalar)
-    # field a link slot, patched with the child chunk's offset when it starts
-    stack: list[tuple[int | None, object]] = [(None, v)]
+    boundaries = []
+    pos = 0
+    stack = [v]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        slot, node = stack.pop()
-        start = len(data)
-        boundaries.append(start)
-        if slot is not None:
-            struct.pack_into("<BQ", data, slot, PTR_MARKER, start)
-        if isinstance(node, Leaf):
-            data.extend(struct.pack("<q", node.value))
-            continue
-        data.append(schema.tag_ids[node.tag])
-        kids = []
-        for kind, child in zip(schema.fields_of[node.tag], node.children):
-            if kind == "Int":
-                data.extend(struct.pack("<q", child.value))
-            else:
-                kids.append((len(data), child))
-                data.extend(bytes(LINK_BYTES))
-                links += 1
-        if len(data) - start > policy.cap:
+        node = pop()
+        if type(node) is int:
+            _OFFSET(data, node, pos)
+            node = pop()
+        boundaries.append(pos)
+        tid, k, nch, pack, w = table[node.tag]
+        start = pos
+        pos += w + LINK_BYTES * nch
+        if pos - start > cap:
             raise ValueTooLarge("single node exceeds chunk cap")
-        stack.extend(reversed(kids))
-    return Chunks(data, boundaries, links, schema)
+        kids = node.children
+        if k == 0:
+            data.append(tid)
+        elif k == 1:
+            data += pack(tid, kids[0].value)
+        else:
+            data += pack(tid, *[c.value for c in kids[:k]])
+        if nch:
+            data += _LINK(PTR_MARKER, pos)
+            if nch == 2:  # binary nodes, most of a tree, skip the loop
+                data += blank
+                push(kids[k + 1])
+                push(start + w + LINK_BYTES + 1)
+            else:
+                for i in range(nch - 1, 0, -1):
+                    data += blank
+                    push(kids[k + i])
+                    push(start + w + LINK_BYTES * i + 1)
+            push(kids[k])
+    # every chunk but the root's is the target of exactly one pointer
+    return Chunks(data, boundaries, len(boundaries) - 1, schema)
 
 
 def byte_parse(chunks: Chunks):
@@ -336,15 +366,10 @@ def _traversal(chunks: Chunks):
     data = bytes(chunks.data)
     schema = chunks.schema
     n = len(data)
-    # per tag byte: (scalar field count, packed child count); scalar fields
-    # always precede packed fields, so each constructor is scalars then kids
+    # per tag byte: (scalar field count, packed child count)
     info: list = [None] * 256
-    for tid, tag in schema.tag_names.items():
-        fks = schema.fields_of[tag]
-        k = sum(1 for f in fks if f == "Int")
-        if any(f == "Int" for f in fks[k:]):
-            raise MalformedBuffer(f"scalar after packed field in {tag}")
-        info[tid] = (k, len(fks) - k)
+    for tid, k, nch, _, _ in schema.table.values():
+        info[tid] = (k, nch)
     unpack = struct.unpack_from
 
     def one_pass():
@@ -398,32 +423,6 @@ def _traversal(chunks: Chunks):
         (x,) = struct.unpack_from("<q", data, 0)
         return lambda: ((x, 1), 0)
     return one_pass
-
-
-### chunk file format
-
-MAGIC = b"LCP1"
-
-
-def write_chunks(chunks: Chunks, fp) -> None:
-    fp.write(MAGIC)
-    fp.write(struct.pack("<I", chunks.chunk_count()))
-    for start, size in zip(chunks.boundaries, chunks.chunk_sizes()):
-        fp.write(struct.pack("<I", size))
-        fp.write(chunks.data[start:start + size])
-
-
-def read_chunks(fp, schema: Schema) -> Chunks:
-    if fp.read(4) != MAGIC:
-        raise MalformedBuffer("bad magic")
-    (count,) = struct.unpack("<I", fp.read(4))
-    data = bytearray()
-    boundaries = []
-    for _ in range(count):
-        (size,) = struct.unpack("<I", fp.read(4))
-        boundaries.append(len(data))
-        data.extend(fp.read(size))
-    return Chunks(data, boundaries, 0, schema)
 
 
 ### synthetic trees and pointer-count arithmetic

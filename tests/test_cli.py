@@ -149,7 +149,16 @@ class TestBench:
         assert code == 0
         payload = json.loads(out.splitlines()[-1])
         assert payload["aggregates_agree"] is True
-        assert payload["fragmented_bytes"] > payload["packed_bytes"]
+        # tag 1 byte, scalar 8, link 9: a leaf is 9 bytes and an inner node
+        # 1 packed or 19 per-node (a tag and two pointers); packed adds one
+        # link per chunk boundary, per-node gives every constructor a chunk
+        leaves = payload["leaves"]
+        nodes = leaves - 1
+        assert leaves == 2**8
+        assert payload["packed_bytes"] == (
+            nodes + 9 * leaves + 9 * (payload["packed_chunks"] - 1))
+        assert payload["fragmented_bytes"] == 19 * nodes + 9 * leaves
+        assert payload["fragmented_chunks"] == 2 * leaves - 1
 
 
 class TestUsage:

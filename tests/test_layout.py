@@ -1,7 +1,8 @@
 """Byte layout: serialization modes, chunk policy, traversal, statistics."""
 
-import io
+import struct
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +76,149 @@ class TestFlatten:
             L.flatten_value(ConcreteLoc("r", Concrete(0)), "Nat", store, decls)
 
 
+def _serialize_packed_ref(v, schema, policy):
+    """The packed serializer written plainly: one `emit` per piece, each
+    node's scalar count read off its field kinds.  The reference the
+    single-pass `_serialize_packed` must agree with byte for byte."""
+    tag_ids = {t: i for i, t in enumerate(sorted(schema.fields_of))}
+    data = bytearray()
+    boundaries = [0]
+    capacities = [policy.initial]
+    links = 0
+    capacity = policy.initial
+    used = 0
+
+    def emit(piece: bytes):
+        nonlocal capacity, used, links
+        w = len(piece)
+        if w + L.LINK_BYTES > policy.cap:
+            raise L.ValueTooLarge(f"cell of {w} bytes exceeds chunk cap")
+        if used + w + L.LINK_BYTES > capacity and used > 0:
+            data.extend(struct.pack("<BQ", L.LINK_MARKER,
+                                    len(data) + L.LINK_BYTES))
+            links += 1
+            boundaries.append(len(data))
+            capacity = min(capacity * policy.growth, policy.cap)
+            while w + L.LINK_BYTES > capacity:
+                capacity = min(capacity * policy.growth, policy.cap)
+            capacities.append(capacity)
+            used = 0
+        data.extend(piece)
+        used += w
+
+    if isinstance(v, L.Leaf):
+        emit(struct.pack("<q", v.value))
+        return L.Chunks(data, boundaries, links, schema, capacities)
+    stack = [v]
+    while stack:
+        node = stack.pop()
+        fks = schema.fields_of[node.tag]
+        k = sum(1 for f in fks if f == "Int")
+        piece = bytes([tag_ids[node.tag]]) + b"".join(
+            struct.pack("<q", c.value) for c in node.children[:k])
+        emit(piece)
+        stack.extend(reversed(node.children[k:]))
+    return L.Chunks(data, boundaries, links, schema, capacities)
+
+
+def _serialize_per_node_ref(v, schema, policy):
+    """The per-node serializer written plainly: a (pointer slot, node) pair
+    per node, every pointer patched when its child starts.  The reference
+    the single-pass `_serialize_per_node` must agree with byte for byte."""
+    tag_ids = {t: i for i, t in enumerate(sorted(schema.fields_of))}
+    data = bytearray()
+    boundaries = []
+    links = 0
+    stack = [(None, v)]
+    while stack:
+        slot, node = stack.pop()
+        start = len(data)
+        boundaries.append(start)
+        if slot is not None:
+            struct.pack_into("<BQ", data, slot, L.PTR_MARKER, start)
+        if isinstance(node, L.Leaf):
+            data.extend(struct.pack("<q", node.value))
+            continue
+        data.append(tag_ids[node.tag])
+        kids = []
+        for kind, child in zip(schema.fields_of[node.tag], node.children):
+            if kind == "Int":
+                data.extend(struct.pack("<q", child.value))
+            else:
+                kids.append((len(data), child))
+                data.extend(bytes(L.LINK_BYTES))
+                links += 1
+        if len(data) - start > policy.cap:
+            raise L.ValueTooLarge("single node exceeds chunk cap")
+        stack.extend(reversed(kids))
+    return L.Chunks(data, boundaries, links, schema)
+
+
+SERIALIZERS = {"packed": _serialize_packed_ref,
+               "per-node-fragmented": _serialize_per_node_ref}
+POLICIES = [L.ChunkPolicy(), L.ChunkPolicy(initial=18),
+            L.ChunkPolicy(initial=10, growth=3, cap=200),
+            L.ChunkPolicy(initial=18, cap=32), L.ChunkPolicy(initial=1, cap=16)]
+
+
+def _outcome(serialize):
+    """Everything a serialization produces, or the class of its error."""
+    try:
+        ch = serialize()
+    except Exception as err:  # the class is what gets compared
+        return type(err)
+    return bytes(ch.data), ch.boundaries, ch.links, ch.capacities
+
+
+def assert_matches_reference(v, schema):
+    for mode, ref in SERIALIZERS.items():
+        for policy in POLICIES:
+            got = _outcome(lambda: L.byte_serialize(v, schema, policy, mode))
+            want = _outcome(lambda: ref(v, schema, policy))
+            assert got == want, (mode, policy)
+
+
+class TestSerializerEquivalence:
+    @given(tree=exp_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_any_tree(self, tree):
+        assert_matches_reference(tree, EXP_SCHEMA)
+
+    @pytest.mark.parametrize("scalars", [0, 1, 2, 3])
+    @pytest.mark.parametrize("depth", [0, 1, 5, 8])
+    def test_full_trees(self, depth, scalars):
+        assert_matches_reference(L.full_tree(depth, leaf_scalars=scalars),
+                                 L.tree_schema(leaf_scalars=scalars))
+
+    def test_deep_chain(self):
+        v = L.Node("Z", ())
+        for _ in range(12_000):
+            v = L.Node("Su", (v,))
+        assert_matches_reference(v, L.Schema({"Z": (), "Su": ("Nat",)}))
+
+    def test_mixed_arity(self):
+        # scalars before one or three packed fields, shared subtrees
+        schema = L.Schema({"T": ("Int", "X", "X", "X"), "U": ("Int", "Int", "X"),
+                           "Z": ()})
+        v = L.Node("Z", ())
+        for d in range(4):
+            v = L.Node("T", (L.Leaf(d), v,
+                             L.Node("U", (L.Leaf(-1), L.Leaf(2**40), v)), v))
+        assert_matches_reference(v, schema)
+
+    def test_bare_leaf(self):
+        assert_matches_reference(L.Leaf(-7), EXP_SCHEMA)
+
+    @pytest.mark.parametrize("mode", SERIALIZERS)
+    def test_oversized_node_raises_alike(self, mode):
+        tree = L.full_tree(2, leaf_scalars=8)
+        schema = L.tree_schema(leaf_scalars=8)
+        policy = L.ChunkPolicy(initial=18, cap=32)
+        assert _outcome(lambda: L.byte_serialize(tree, schema, policy, mode)) \
+            is L.ValueTooLarge
+        assert_matches_reference(tree, schema)
+
+
 class TestByteSerialization:
     def test_packed_golden_sizes(self):
         ch = L.byte_serialize(GOLDEN, EXP_SCHEMA, mode="packed")
@@ -140,6 +284,22 @@ class TestByteSerialization:
         (total, leaves), _ = L.traverse_bytes(ch, repeats=1)
         assert (total, leaves) == (0, 1)
 
+    def test_packed_peak_memory_is_the_buffer(self):
+        # single pass: no piece or width list per node, only the output
+        # buffer (grown in place) and a stack as deep as the tree
+        tree, schema = L.full_tree(14), L.tree_schema()
+        tracemalloc.start()
+        try:
+            ch = L.byte_serialize(tree, schema, mode="packed")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(ch.data) + 64 * 1024
+
+    def test_scalar_after_packed_field_rejected(self):
+        with pytest.raises(ValueError, match="scalar after packed"):
+            L.Schema({"C": ("T", "Int"), "N": ()})
+
     def test_oversized_single_node_rejected(self):
         # one constructor with 8 scalar fields cannot fit a 32-byte chunk
         policy = L.ChunkPolicy(initial=18, cap=32)
@@ -191,21 +351,6 @@ class TestMalformedBuffers:
         ch.data[0] = 0xFD
         with pytest.raises(L.MalformedBuffer):
             L.byte_parse(ch)
-
-
-class TestFilePersistence:
-    def test_write_read_round_trip(self):
-        ch = L.byte_serialize(GOLDEN, EXP_SCHEMA, mode="per-node-fragmented")
-        buf = io.BytesIO()
-        L.write_chunks(ch, buf)
-        buf.seek(0)
-        back = L.read_chunks(buf, EXP_SCHEMA)
-        assert L.byte_parse(back) == GOLDEN
-
-    def test_bad_magic_rejected(self):
-        buf = io.BytesIO(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(L.MalformedBuffer):
-            L.read_chunks(buf, EXP_SCHEMA)
 
 
 class TestFragmentationReport:
