@@ -1,4 +1,4 @@
-"""Canonical value extraction, fragmentation reports, byte serialization.
+"""Canonical value extraction, byte serialization and traversal.
 
 Byte encoding widths: tag 1 byte, scalar 8 bytes little-endian, link 9 bytes
 (a marker, then a u64 absolute offset into the concatenated chunks).  Packed
@@ -43,8 +43,8 @@ class IncompleteValue(Exception):
     pass
 
 
-class ValueTooLarge(Exception):
-    pass
+class ValueTooLarge(ValueError):
+    """A constructor does not fit the chunk policy's cap."""
 
 
 class MalformedBuffer(Exception):
@@ -104,29 +104,6 @@ def flatten_value(root: ConcreteLoc, tau: str, store: Store, decls):
             return v
 
 
-### fragmentation report
-
-@dataclass
-class FragReport:
-    total_regions: int
-    extra_regions: int
-    indirections: int
-    total_cells: int
-    serialized_fraction: float
-
-
-def fragmentation_report(store: Store, metrics: dict) -> FragReport:
-    total_cells = sum(len(h) for h in store.regions.values())
-    inds = sum(1 for h in store.regions.values() for c in h.values()
-               if isinstance(c, IndirectionCell))
-    frac = 1.0 if total_cells == 0 else 1.0 - inds / total_cells
-    return FragReport(total_regions=len(store.regions),
-                      extra_regions=metrics.get("extra_regions", 0),
-                      indirections=inds,
-                      total_cells=total_cells,
-                      serialized_fraction=frac)
-
-
 ### byte serialization
 
 @dataclass(frozen=True)
@@ -136,8 +113,14 @@ class ChunkPolicy:
     cap: int = 1 << 30
 
     def __post_init__(self):
-        assert self.initial >= TAG_BYTES
-        assert self.growth > 1
+        if self.initial < TAG_BYTES:
+            raise ValueError(f"initial chunk size {self.initial} is below "
+                             f"{TAG_BYTES} byte")
+        if self.growth < 2:
+            raise ValueError(f"chunk growth {self.growth} is below 2")
+        if self.cap < self.initial:
+            raise ValueError(f"chunk cap {self.cap} is below the initial "
+                             f"size {self.initial}")
 
 
 @dataclass(frozen=True)
@@ -162,10 +145,6 @@ class Schema:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "tag_names",
                            {e[0]: t for t, e in table.items()})
-
-    @classmethod
-    def from_decls(cls, decls) -> "Schema":
-        return cls({t: tuple(decls.fields(t)) for t in decls.constructors})
 
 
 @dataclass
@@ -291,50 +270,72 @@ def _serialize_per_node(v, schema: Schema, policy: ChunkPolicy) -> Chunks:
 
 
 def byte_parse(chunks: Chunks):
-    """Invert byte_serialize: rebuild the canonical value from bytes."""
+    """Invert byte_serialize: rebuild the canonical value from bytes, with
+    its own stack of open constructors, so any depth can be read.  Markers
+    only count at tag positions (scalar bytes sit at fixed offsets and are
+    read raw).  A continuation link jumps for good; a subtree pointer is
+    followed for one child, then parsing resumes past the pointer's cell."""
     data = bytes(chunks.data)
-    schema = chunks.schema
+    tag_names, fields_of = chunks.schema.tag_names, chunks.schema.fields_of
     n = len(data)
-
-    def read(pos: int, kind: str):
-        # marker bytes are only meaningful at tag positions: a scalar field
-        # sits at a fixed offset after its constructor's tag, so its bytes
-        # are read raw and may collide with the marker values freely
+    if not data:
+        raise MalformedBuffer("empty buffer")
+    # a bare scalar value serializes to exactly one 8-byte cell
+    kind = "Int" if n == SCALAR_BYTES else "node"
+    # open constructors: (tag, field kinds, the fields read so far, where
+    # parsing resumes once it is complete if a pointer led to it, else None)
+    stack: list[tuple[str, tuple[str, ...], list, int | None]] = []
+    pos, resume, hops = 0, None, 0
+    while True:
         if kind == "Int":
             if pos + SCALAR_BYTES > n:
                 raise MalformedBuffer("truncated scalar")
             (x,) = struct.unpack_from("<q", data, pos)
-            return Leaf(x), pos + SCALAR_BYTES
-        # continuation links jump and never come back; subtree pointers are
-        # followed for one child and parsing resumes after the 9-byte cell
-        while pos < n and data[pos] == LINK_MARKER:
-            if pos + LINK_BYTES > n:
-                raise MalformedBuffer("truncated link")
-            (pos,) = struct.unpack_from("<Q", data, pos + 1)
-        if pos >= n:
-            raise MalformedBuffer(f"offset {pos} past end of buffer")
-        b = data[pos]
-        if b == PTR_MARKER:
-            if pos + LINK_BYTES > n:
-                raise MalformedBuffer("truncated pointer")
-            (target,) = struct.unpack_from("<Q", data, pos + 1)
-            v, _ = read(target, kind)
-            return v, pos + LINK_BYTES
-        tag = schema.tag_names.get(b)
-        if tag is None:
-            raise MalformedBuffer(f"unknown tag byte {b} at {pos}")
-        children = []
-        p = pos + 1
-        for fkind in schema.fields_of[tag]:
-            child, p = read(p, fkind)
-            children.append(child)
-        return Node(tag, tuple(children)), p
-
-    if not data:
-        raise MalformedBuffer("empty buffer")
-    # a bare scalar value serializes to exactly one 8-byte cell
-    v, _ = read(0, "Int" if n == SCALAR_BYTES else "node")
-    return v
+            v, end = Leaf(x), pos + SCALAR_BYTES
+        else:
+            b = data[pos] if pos < n else None
+            if b == LINK_MARKER or b == PTR_MARKER:
+                # without a tag in between, more hops than bytes is a cycle
+                hops += 1
+                if hops > n:
+                    raise MalformedBuffer(f"link cycle through {pos}")
+                if pos + LINK_BYTES > n:
+                    raise MalformedBuffer("truncated link" if b == LINK_MARKER
+                                          else "truncated pointer")
+                if b == PTR_MARKER and resume is None:
+                    resume = pos + LINK_BYTES
+                (pos,) = struct.unpack_from("<Q", data, pos + 1)
+                continue
+            if b is None:
+                raise MalformedBuffer(f"offset {pos} past end of buffer")
+            tag = tag_names.get(b)
+            if tag is None:
+                raise MalformedBuffer(f"unknown tag byte {b} at {pos}")
+            hops = 0
+            kinds = fields_of[tag]
+            if kinds:
+                # a well-formed buffer nests no deeper than it has bytes
+                if len(stack) >= n:
+                    raise MalformedBuffer(f"pointer cycle through {pos}")
+                stack.append((tag, kinds, [], resume))
+                pos, kind, resume = pos + 1, kinds[0], None
+                continue
+            v, end = Node(tag, ()), pos + 1
+        if resume is not None:
+            end, resume = resume, None
+        # hand the finished value to the constructors it completes
+        while stack:
+            tag, kinds, fields, ret = stack[-1]
+            fields.append(v)
+            if len(fields) < len(kinds):
+                pos, kind = end, kinds[len(fields)]
+                break
+            stack.pop()
+            v = Node(tag, tuple(fields))
+            if ret is not None:
+                end = ret
+        else:
+            return v
 
 
 def traverse_bytes(chunks: Chunks, repeats: int = 9):

@@ -152,16 +152,13 @@ def deref_concrete(cl: ConcreteLoc) -> ConcreteLoc:
 ### end witness
 
 class Decls:
-    """Constructor signatures: tag -> (tycon, field types), tycon -> tags.
+    """Constructor signatures: tag -> (tycon, field types).
 
     Field types are 'Int' for scalars or a datatype name for packed fields.
     """
 
     def __init__(self, constructors: dict[str, tuple[str, list[str]]]):
         self.constructors = constructors
-        self.by_tycon: dict[str, list[str]] = {}
-        for tag, (tycon, _) in constructors.items():
-            self.by_tycon.setdefault(tycon, []).append(tag)
 
     def fields(self, tag: str) -> list[str]:
         return self.constructors[tag][1]

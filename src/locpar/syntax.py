@@ -1,4 +1,4 @@
-"""Abstract syntax, concrete `.lcp` format, printing, freshening, substitution.
+"""Abstract syntax, concrete `.lcp` format, printing, substitution, instantiation.
 
 Programs are fully location-annotated: every allocating expression names the
 location and region it writes to, and locations are introduced relative to
@@ -606,14 +606,6 @@ def parse_program(text: str) -> Program:
     return _Parser(text).program()
 
 
-def parse_expr(text: str) -> Expr:
-    p = _Parser(text)
-    e = p.expr()
-    if p.peek().kind != "eof":
-        raise p.err("trailing input")
-    return e
-
-
 ### printing
 
 def _fmt_locexpr(le: LocExpr) -> str:
@@ -753,7 +745,7 @@ def _bind(x: str, m: dict, ns: NameSupply | None, wrap=lambda n: n):
 def _subst(e: Expr, vm: dict[str, Expr], lm: dict[str, str],
            rm: dict[str, str], im: dict[str, ConcreteLoc],
            ns: NameSupply | None = None) -> Expr:
-    """One traversal for substitution and freshening: with a name supply
+    """One traversal for substitution and instantiation: with a name supply
     every binder is renamed to a fresh name, drawn in preorder."""
     if isinstance(e, Var):
         return vm.get(e.name, e)
@@ -813,24 +805,7 @@ def _subst(e: Expr, vm: dict[str, Expr], lm: dict[str, str],
     raise TypeError(f"not an expression: {e!r}")
 
 
-### freshening
-
-def freshen(fd: FunDecl, supply: NameSupply) -> FunDecl:
-    """Rename every bound variable, location, and region to a fresh name."""
-    lm = {}
-    rm = {}
-    for l, r in fd.locparams:
-        lm.setdefault(l, supply.fresh(l))
-        rm.setdefault(r, supply.fresh(r))
-    vm: dict[str, Expr] = {}
-    for x, _ in fd.params:
-        vm[x] = Var(supply.fresh(x))
-    locparams = tuple((lm[l], rm[r]) for l, r in fd.locparams)
-    params = tuple((vm[x].name, _subst_ty(ty, lm, rm))  # type: ignore[union-attr]
-                   for x, ty in fd.params)
-    body = _subst(fd.body, vm, lm, rm, {}, supply)
-    return FunDecl(fd.name, locparams, params, _subst_ty(fd.ret, lm, rm), body)
-
+### instantiation
 
 def instantiate(fd: FunDecl, locargs, args, supply: NameSupply) -> Expr:
     """Instantiate a function body in one pass: formals map to the actual
@@ -843,148 +818,3 @@ def instantiate(fd: FunDecl, locargs, args, supply: NameSupply) -> Expr:
     vm: dict[str, Expr] = {x: arg for (x, _), arg in zip(fd.params, args)}
     return _subst(fd.body, vm, lm, rm, {}, supply)
 
-
-### alpha equivalence
-
-def alpha_equivalent(a: FunDecl | Expr, b: FunDecl | Expr) -> bool:
-    """Structural equality up to consistent renaming of bound names."""
-    if isinstance(a, FunDecl) != isinstance(b, FunDecl):
-        return False
-    if isinstance(a, FunDecl):
-        if len(a.locparams) != len(b.locparams) or len(a.params) != len(b.params):
-            return False
-        env = _AlphaEnv()
-        for (l1, r1), (l2, r2) in zip(a.locparams, b.locparams):
-            env.bind_loc(l1, l2)
-            env.bind_reg(r1, r2)
-        for (x1, t1), (x2, t2) in zip(a.params, b.params):
-            env.bind_var(x1, x2)
-            if not env.ty_eq(t1, t2):
-                return False
-        return env.ty_eq(a.ret, b.ret) and _alpha(a.body, b.body, env)
-    return _alpha(a, b, _AlphaEnv())
-
-
-class _AlphaEnv:
-    def __init__(self) -> None:
-        self.vars: dict[str, str] = {}
-        self.locs: dict[str, str] = {}
-        self.regs: dict[str, str] = {}
-
-    def snapshot(self):
-        return dict(self.vars), dict(self.locs), dict(self.regs)
-
-    def restore(self, snap) -> None:
-        self.vars, self.locs, self.regs = snap
-
-    def bind_var(self, a: str, b: str) -> None:
-        self.vars[a] = b
-
-    def bind_loc(self, a: str, b: str) -> None:
-        self.locs[a] = b
-
-    def bind_reg(self, a: str, b: str) -> None:
-        self.regs[a] = b
-
-    def var_eq(self, a: str, b: str) -> bool:
-        return self.vars.get(a, a) == b
-
-    def loc_eq(self, a: str, b: str) -> bool:
-        return self.locs.get(a, a) == b
-
-    def reg_eq(self, a: str, b: str) -> bool:
-        return self.regs.get(a, a) == b
-
-    def ty_eq(self, a: Type, b: Type) -> bool:
-        if isinstance(a, IntType) and isinstance(b, IntType):
-            return True
-        if isinstance(a, PackedType) and isinstance(b, PackedType):
-            return (a.tycon == b.tycon and self.loc_eq(a.loc, b.loc)
-                    and self.reg_eq(a.region, b.region))
-        return False
-
-
-def _alpha(a: Expr, b: Expr, env: _AlphaEnv) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        return env.var_eq(a.name, b.name)
-    if isinstance(a, IntLit):
-        return a.value == b.value
-    if isinstance(a, ConcreteLocVal):
-        return a == b
-    if isinstance(a, PrimOp):
-        return a.op == b.op and _alpha(a.lhs, b.lhs, env) and _alpha(a.rhs, b.rhs, env)
-    if isinstance(a, App):
-        if a.func != b.func or len(a.locargs) != len(b.locargs) or len(a.args) != len(b.args):
-            return False
-        for (l1, r1), (l2, r2) in zip(a.locargs, b.locargs):
-            if not (env.loc_eq(l1, l2) and env.reg_eq(r1, r2)):
-                return False
-        return all(_alpha(x, y, env) for x, y in zip(a.args, b.args))
-    if isinstance(a, DataCon):
-        return (a.tag == b.tag and env.loc_eq(a.loc, b.loc)
-                and env.reg_eq(a.region, b.region)
-                and len(a.fields) == len(b.fields)
-                and all(_alpha(x, y, env) for x, y in zip(a.fields, b.fields)))
-    if isinstance(a, Let):
-        if a.spawn != b.spawn or not _alpha(a.bound, b.bound, env):
-            return False
-        snap = env.snapshot()
-        env.bind_var(a.var, b.var)
-        ok = env.ty_eq(a.ty, b.ty) and _alpha(a.body, b.body, env)
-        env.restore(snap)
-        return ok
-    if isinstance(a, LetLoc):
-        if not env.reg_eq(a.region, b.region):
-            return False
-        le1, le2 = a.locexpr, b.locexpr
-        if type(le1) is not type(le2):
-            return False
-        if isinstance(le1, StartOfRegion):
-            if not env.reg_eq(le1.region, le2.region):
-                return False
-        elif isinstance(le1, AfterTag):
-            if not (env.loc_eq(le1.loc, le2.loc) and env.reg_eq(le1.region, le2.region)):
-                return False
-        else:
-            if not env.ty_eq(le1.ty, le2.ty):
-                return False
-        snap = env.snapshot()
-        env.bind_loc(a.loc, b.loc)
-        ok = _alpha(a.body, b.body, env)
-        env.restore(snap)
-        return ok
-    if isinstance(a, LetRegion):
-        snap = env.snapshot()
-        env.bind_reg(a.region, b.region)
-        ok = _alpha(a.body, b.body, env)
-        env.restore(snap)
-        return ok
-    if isinstance(a, Case):
-        if not _alpha(a.scrut, b.scrut, env) or len(a.branches) != len(b.branches):
-            return False
-        for b1, b2 in zip(a.branches, b.branches):
-            if type(b1) is not type(b2):
-                return False
-            snap = env.snapshot()
-            if isinstance(b1, ConBranch):
-                if b1.tag != b2.tag or len(b1.fields) != len(b2.fields):
-                    env.restore(snap)
-                    return False
-                for (x1, t1), (x2, t2) in zip(b1.fields, b2.fields):
-                    env.bind_var(x1, x2)
-                    if isinstance(t1, PackedType) and isinstance(t2, PackedType):
-                        env.bind_loc(t1.loc, t2.loc)
-                    if not env.ty_eq(t1, t2):
-                        env.restore(snap)
-                        return False
-            elif isinstance(b1, IntBranch) and b1.value != b2.value:
-                env.restore(snap)
-                return False
-            ok = _alpha(b1.body, b2.body, env)
-            env.restore(snap)
-            if not ok:
-                return False
-        return True
-    return False

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dcfield
 
 from . import syntax as S
-from .store import Ivar, Decls
+from .store import Decls
 
 
 class LocTypeError(Exception):
@@ -74,12 +74,6 @@ def _check(ts: TypeState, e: S.Expr, prog: S.Program, decls: Decls, ctx: str) ->
         if e.name not in ts.gamma:
             raise LocTypeError("TypeMismatch", f"unbound variable {e.name}", ctx)
         return ts.gamma[e.name]
-    if isinstance(e, S.ConcreteLocVal):
-        origin = e.loc.origin
-        if origin is not None and origin in ts.sigma:
-            return ts.sigma[origin]
-        raise LocTypeError("UnboundLocation",
-                           f"value at {e.loc.region} has no materialized location", ctx)
     if isinstance(e, S.PrimOp):
         for side in (e.lhs, e.rhs):
             t = _check(ts, side, prog, decls, ctx)
@@ -181,17 +175,7 @@ def _value_location(ts: TypeState, v: S.Expr, ctx: str) -> S.PackedType:
         if lt is None:
             raise LocTypeError("TypeMismatch", f"{v.name} is not a packed value", ctx)
         return lt
-    if isinstance(v, S.ConcreteLocVal):
-        origin = v.loc.origin
-        if origin is not None and origin in ts.sigma:
-            return ts.sigma[origin]
-        raise LocTypeError("UnboundLocation", "packed value has no materialized location", ctx)
     raise LocTypeError("TypeMismatch", f"expected a packed value, got {v!r}", ctx)
-
-
-def _has_ivar_field(e: S.DataCon) -> bool:
-    return any(isinstance(f, S.ConcreteLocVal) and isinstance(f.loc.ext, Ivar)
-               for f in e.fields)
 
 
 def _check_datacon(ts: TypeState, e: S.DataCon, prog: S.Program, decls: Decls,
@@ -203,11 +187,6 @@ def _check_datacon(ts: TypeState, e: S.DataCon, prog: S.Program, decls: Decls,
     if len(ftys) != len(e.fields):
         raise LocTypeError("ArityMismatch",
                            f"{e.tag} takes {len(ftys)} fields, given {len(e.fields)}", ctx)
-    result = S.PackedType(tycon, e.loc, e.region)
-    if _has_ivar_field(e):
-        # in-flight constructor: fields are still being produced by other
-        # tasks, so neither the nursery nor the allocation site advances
-        return result
     if e.loc not in ts.nursery:
         if e.loc in ts.sigma:
             raise LocTypeError("DoubleWrite", f"location {e.loc} already written", ctx)
@@ -243,7 +222,7 @@ def _check_datacon(ts: TypeState, e: S.DataCon, prog: S.Program, decls: Decls,
         prev = (fty, lt.loc)
     ts.nursery.discard(e.loc)
     ts.allocsites[e.region] = e.loc
-    return result
+    return S.PackedType(tycon, e.loc, e.region)
 
 
 def _check_app(ts: TypeState, e: S.App, prog: S.Program, decls: Decls, ctx: str) -> S.Type:

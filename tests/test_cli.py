@@ -162,6 +162,26 @@ class TestBench:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("flag, value", [("--chunk-bytes", "0"),
+                                             ("--chunk-cap", "8")])
+    def test_invalid_chunk_option_exits_3(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),
+                                 "--mode", "bench", "--bench-depth", "4",
+                                 flag, value)
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
+        (d,) = diags(err)
+        assert d["code"] == "Usage"
+
+    def test_chunk_cap_below_a_node_exits_3(self, capsys):
+        # a valid policy whose cap cannot hold a leaf and a link
+        code, _, err = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),
+                               "--mode", "bench", "--bench-depth", "4",
+                               "--chunk-bytes", "8", "--chunk-cap", "8")
+        assert code == 3
+        (d,) = diags(err)
+        assert d["code"] == "Usage" and "exceeds chunk cap" in d["message"]
+
     def test_no_subcommand_exits_3(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main([])

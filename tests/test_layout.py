@@ -1,8 +1,11 @@
 """Byte layout: serialization modes, chunk policy, traversal, statistics."""
 
+import os
 import struct
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -284,6 +287,22 @@ class TestByteSerialization:
         (total, leaves), _ = L.traverse_bytes(ch, repeats=1)
         assert (total, leaves) == (0, 1)
 
+    @pytest.mark.parametrize("mode", ["packed", "per-node-fragmented"])
+    def test_deep_chain_parses_under_default_recursion_limit(
+            self, mode, default_recursion_limit):
+        nat = L.Schema({"Z": (), "Su": ("Nat",)})
+        v = L.Node("Z", ())
+        for _ in range(10_000):
+            v = L.Node("Su", (v,))
+        ch = L.byte_serialize(v, nat, mode=mode)
+        got = L.byte_parse(ch)
+        # walked, since == on dataclasses recurses once per level
+        depth = 0
+        while got.tag == "Su":
+            (got,) = got.children
+            depth += 1
+        assert depth == 10_000 and got == L.Node("Z", ())
+
     def test_packed_peak_memory_is_the_buffer(self):
         # single pass: no piece or width list per node, only the output
         # buffer (grown in place) and a stack as deep as the tree
@@ -307,6 +326,26 @@ class TestByteSerialization:
             L.byte_serialize(L.full_tree(2, leaf_scalars=8),
                              L.tree_schema(leaf_scalars=8), policy,
                              mode="packed")
+
+
+class TestChunkPolicy:
+    @pytest.mark.parametrize("field, kwargs", [
+        ("initial", {"initial": 0}), ("growth", {"growth": 1}),
+        ("cap", {"initial": 64, "cap": 8})], ids=["initial", "growth", "cap"])
+    def test_invalid_policy_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=field):
+            L.ChunkPolicy(**kwargs)
+
+    def test_validation_survives_optimized_mode(self):
+        # the checks are raises, not asserts, so `python -O` keeps them
+        src = str(Path(L.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("from locpar.layout import ChunkPolicy\n"
+                "try:\n    ChunkPolicy(initial=0)\nexcept ValueError:\n"
+                "    raise SystemExit(0)\nraise SystemExit(1)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTraversal:
@@ -339,6 +378,19 @@ class TestTraversal:
 
 
 class TestMalformedBuffers:
+    @pytest.mark.parametrize("marker", [L.LINK_MARKER, L.PTR_MARKER],
+                             ids=["link", "pointer"])
+    def test_cycle_raises(self, marker):
+        # a link or pointer to itself, and a constructor whose field points
+        # back at it: neither may loop or exhaust the stack
+        nat = L.Schema({"Su": ("Nat",), "Z": ()})
+        su = nat.table["Su"][0]
+        for data in (bytes([marker]) + struct.pack("<Q", 0) + bytes([su]),
+                     bytes([su, marker]) + struct.pack("<Q", 0)):
+            ch = L.Chunks(bytearray(data), [0], 1, nat)
+            with pytest.raises(L.MalformedBuffer, match="cycle"):
+                L.byte_parse(ch)
+
     def test_truncated_buffer(self):
         ch = L.byte_serialize(GOLDEN, EXP_SCHEMA, mode="packed")
         ch.data = ch.data[:-3]
@@ -351,22 +403,6 @@ class TestMalformedBuffers:
         ch.data[0] = 0xFD
         with pytest.raises(L.MalformedBuffer):
             L.byte_parse(ch)
-
-
-class TestFragmentationReport:
-    def test_sequential_run_fully_serialized(self, load_program):
-        tp = load_program("constfold.lcp")
-        res = run_seq(tp)
-        rep = L.fragmentation_report(res.store, res.metrics)
-        assert rep.extra_regions == 0 and rep.indirections == 0
-        assert rep.serialized_fraction == 1.0
-
-    def test_forked_run_reports_indirections(self, load_program):
-        tp = load_program("constfold.lcp")
-        res = P.run_par(tp, P.always_fork())
-        rep = L.fragmentation_report(res.store, res.metrics)
-        assert rep.extra_regions == 1 and rep.indirections == 1
-        assert 0 < rep.serialized_fraction < 1
 
 
 class TestPointerStats:
