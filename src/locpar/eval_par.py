@@ -210,7 +210,8 @@ def _fork(ctx: RunContext, ts: TaskSet, parent: Task) -> Task:
 
 def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
                 need: tuple[str, str]) -> None:
-    """Merge the producer of the needed ivar into the consumer.
+    """Merge the producer of the needed ivar into the consumer, in place;
+    the producer's state is not written, so every other waiter can join it.
 
     The first join moves the producer from the live tasks to `joined`; a
     joined producer is dropped once no live task holds its ivar.
@@ -220,8 +221,8 @@ def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
     ploc = prod.state.focus.loc
     assert isinstance(ploc.ext, Concrete)
     pst, cst = prod.state, consumer.state
-    cst.store = merge_store(cst.store, pst.store)
-    cst.locmap = merge_locmap(cst.locmap, pst.locmap)
+    merge_store(cst.store, pst.store)
+    merge_locmap(cst.locmap, pst.locmap)
     cst.sigma.update(pst.sigma)
     cst.constraints.update(pst.constraints)
     for r, l in pst.allocsites.items():
@@ -266,10 +267,8 @@ def _join_link_fields(ctx: RunContext, cst: SeqState, iv: str) -> None:
         nxt = e.fields[k + 1]
         if not isinstance(nxt, S.ConcreteLocVal) or nxt.loc.origin is None:
             continue
-        before = cst.store
-        cst.store = link_fields(cst.store, cst.locmap, ctx.decls, fty,
-                                fv.loc, nxt.loc.origin)
-        if cst.store is not before:
+        if link_fields(cst.store, cst.locmap, ctx.decls, fty, fv.loc,
+                       nxt.loc.origin):
             ctx.metrics["indirections"] += 1
             ctx.metrics["cells_written"] += 1
 
@@ -393,21 +392,18 @@ class Machine:
         if not self.finished():
             raise SemanticsError("NoEnabledTransition",
                                  "tasks remain but nothing can step")
-        store = None
-        locmap: dict = {}
-        for task in self.ts.ordered():
-            store = task.state.store if store is None \
-                else merge_store(store, task.state.store)
-            locmap = merge_locmap(locmap, task.state.locmap)
         root = self.ts.root()
+        # merged into a fresh store and map, so no task's state changes
+        final = root.state.copy()
+        final.store, final.locmap = Store(), {}
+        for task in self.ts.ordered():
+            merge_store(final.store, task.state.store)
+            merge_locmap(final.locmap, task.state.locmap)
         metrics = dict(self.ctx.metrics)
         metrics["peak_tasks"] = self.peak
         metrics["decisions"] = self.decisions
-        final_state = root.state.copy()
-        final_state.store = store
-        final_state.locmap = locmap
-        return RunResult(root.state.expr, store, locmap, metrics,
-                         final_state, [])
+        return RunResult(root.state.expr, final.store, final.locmap, metrics,
+                         final, [])
 
     def _forget(self, tid: int) -> None:
         old = self.waits.pop(tid, None)

@@ -236,7 +236,7 @@ def _contract(ctx: RunContext, st: SeqState, e: S.Expr) -> tuple[S.Expr, str]:
 
 def _rule_letregion(ctx: RunContext, st: SeqState, e: S.LetRegion) -> tuple[S.Expr, str]:
     r = ctx.supply.fresh(e.region)
-    st.store = st.store.add_region(r)
+    st.store.add_region(r)
     st.allocsites[r] = None
     ctx.metrics["regions_created"] += 1
     return S.substitute(e.body, reg_map={e.region: r}), "D-LetRegion"
@@ -261,7 +261,7 @@ def _rule_letloc(ctx: RunContext, st: SeqState, e: S.LetLoc) -> tuple[S.Expr, st
             # the value this location must follow is still being produced
             # elsewhere; continue in a fresh region behind an indirection
             r_new = ctx.supply.fresh(e.region)
-            st.store = st.store.add_region(r_new)
+            st.store.add_region(r_new)
             st.allocsites[r_new] = e.loc
             st.locmap[e.loc] = ConcreteLoc(e.region, Indirection(r_new, 0), e.loc)
             st.nursery.add(e.loc)
@@ -327,14 +327,14 @@ def _rule_datacon(ctx: RunContext, st: SeqState, e: S.DataCon) -> tuple[S.Expr, 
     if len(ftys) != len(e.fields):
         raise SemanticsError("Stuck", f"arity mismatch constructing {e.tag}")
     r, i = target.region, target.ext.index
-    st.store = write_cell(st.store, r, i, Tag(e.tag))
+    write_cell(st.store, r, i, Tag(e.tag))
     ctx.metrics["cells_written"] += 1
     cur_r, cur = r, i + 1
     for fty, fv in zip(ftys, e.fields):
         if fty == "Int":
             if not isinstance(fv, S.IntLit):
                 raise SemanticsError("Stuck", f"scalar field of {e.tag} not an integer")
-            st.store = write_cell(st.store, cur_r, cur, Scalar(fv.value))
+            write_cell(st.store, cur_r, cur, Scalar(fv.value))
             ctx.metrics["cells_written"] += 1
             cur += 1
         else:

@@ -379,6 +379,7 @@ def _traversal(chunks: Chunks):
         t0 = time.perf_counter_ns()
         total = 0
         count = 0
+        hops = 0  # one per marker in a valid pass, so more than n is a cycle
         stack = [0]
         pop = stack.pop
         push = stack.append
@@ -392,11 +393,15 @@ def _traversal(chunks: Chunks):
                         (pos,) = unpack("<Q", data, pos + 1)
                         if pos >= n:
                             raise MalformedBuffer("link past end of buffer")
+                        if (hops := hops + 1) > n:
+                            raise MalformedBuffer(f"link cycle through {pos}")
                         continue
                     if b == 0xFE:
                         (tgt,) = unpack("<Q", data, pos + 1)
                         if tgt >= n:
                             raise MalformedBuffer("pointer past end of buffer")
+                        if (hops := hops + 1) > n:
+                            raise MalformedBuffer(f"pointer cycle through {pos}")
                         push(tgt)
                         pos += 9
                         todo -= 1

@@ -3,14 +3,14 @@
 A region is an append-only heap mapping cell indices to heap values.  Symbolic
 locations are resolved through a per-task LocationMap into concrete locations,
 whose index may be a plain cell index, an unfilled ivar, or an indirection to
-another region's cell.  All operations treat stores and maps as values: they
-return updated copies and never mutate their arguments in place.
+another region's cell.
 
-Copies are copy-on-write per region: a copy gets its own region dict but
-shares every heap dict with the store it came from, so copying costs
-O(regions), not O(cells).  A shared heap is therefore never mutated: an
-operation that changes a region's cells replaces that region's heap with an
-updated copy.
+A store owns its heaps and writes them in place.  Heaps become shared only
+through `Store.copy()`, where two futures split, and through a merge, which
+hands the destination the heaps of regions only the source has.  A store
+records the regions whose heap no other store shares (`owned`); its first
+write to any other region copies that region's heap once and owns the copy.
+So a store that is never copied never copies a heap.
 """
 
 from __future__ import annotations
@@ -90,20 +90,29 @@ class Store:
     """region -> heap (cell index -> heap value).
 
     Region dict insertion order is creation order; dumps and merges rely on it.
+    `owned` names the regions whose heap dict no other store shares.
     """
 
     regions: dict[str, dict[int, HeapValue]] = field(default_factory=dict)
+    owned: set[str] = field(default_factory=set, compare=False, repr=False)
 
     def copy(self) -> "Store":
-        """A new region dict over the same (shared, never mutated) heaps."""
+        """A new region dict over the same heaps, which neither side owns now."""
+        self.owned.clear()
         return Store(dict(self.regions))
 
-    def add_region(self, r: str) -> "Store":
+    def add_region(self, r: str) -> None:
         if r in self.regions:
             raise StoreError("DuplicateRegion", f"region {r} already exists")
-        s = self.copy()
-        s.regions[r] = {}
-        return s
+        self.regions[r] = {}
+        self.owned.add(r)
+
+    def _own(self, r: str) -> dict[int, HeapValue]:
+        """r's heap, copied first if another store may share it."""
+        if r not in self.owned:
+            self.regions[r] = dict(self.regions[r])
+            self.owned.add(r)
+        return self.regions[r]
 
     def cell(self, r: str, i: int) -> HeapValue | None:
         heap = self.regions.get(r)
@@ -228,82 +237,70 @@ def end_witness(decls: Decls, tau: str, region: str, index: int, s: Store,
 
 ### writing
 
-def write_cell(s: Store, r: str, i: int, hv: HeapValue) -> Store:
-    """Write-once cell update; rewriting an identical value is a no-op."""
-    if r not in s.regions:
+def write_cell(s: Store, r: str, i: int, hv: HeapValue) -> bool:
+    """Write-once cell update in place; False if the cell already holds hv."""
+    heap = s.regions.get(r)
+    if heap is None:
         raise StoreError("UnknownRegion", f"region {r} does not exist")
-    existing = s.regions[r].get(i)
+    existing = heap.get(i)
     if existing is not None:
         if existing == hv:
-            return s
+            return False
         raise StoreError("DoubleWrite", f"cell ({r},{i}) holds {existing}, refusing {hv}")
-    out = s.copy()
-    heap = dict(s.regions[r])
-    heap[i] = hv
-    out.regions[r] = heap
-    return out
+    s._own(r)[i] = hv
+    return True
 
 
 ### merging
 
-def merge_store(s1: Store, s2: Store) -> Store:
-    """Union of two task-private stores; shared cells must agree.
+def merge_store(dst: Store, src: Store) -> None:
+    """Merge task-private store src into dst in place; shared cells must agree.
 
-    A region only one side has, or whose heap both sides share, is shared
-    with the result; a heap is copied only when the other side adds cells.
+    src is never written: a region only src has is shared with dst, and
+    neither owns it afterwards.  A conflict may leave dst half merged.
     """
-    out = s1.copy()
-    for r, heap in s2.regions.items():
-        mine = out.regions.get(r)
+    for r, heap in src.regions.items():
+        mine = dst.regions.get(r)
         if mine is None:
-            out.regions[r] = heap
+            dst.regions[r] = heap
+            src.owned.discard(r)
             continue
         if mine is heap:
             continue
-        merged = None
         for i, hv in heap.items():
             old = mine.get(i)
             if old is None:
-                if merged is None:
-                    merged = out.regions[r] = dict(mine)
-                merged[i] = hv
+                mine = dst._own(r)
+                mine[i] = hv
             elif old != hv:
                 raise StoreError("MergeConflict", f"cell ({r},{i}): {old} vs {hv}")
-    return out
 
 
-def merge_locmap(m1: LocationMap, m2: LocationMap) -> LocationMap:
-    """Union of location maps; a concrete index wins over an ivar."""
-    out = dict(m1)
-    for l, cl2 in m2.items():
-        cl1 = out.get(l)
-        if cl1 is None or cl1 == cl2:
-            out[l] = cl2
-            continue
-        if isinstance(cl1.ext, Ivar) and not isinstance(cl2.ext, Ivar):
-            out[l] = cl2
-        elif isinstance(cl2.ext, Ivar) and not isinstance(cl1.ext, Ivar):
-            out[l] = cl1
-        elif cl1.region == cl2.region and cl1.ext == cl2.ext:
-            out[l] = cl1
-        else:
+def merge_locmap(dst: LocationMap, src: LocationMap) -> None:
+    """Merge location map src into dst in place; concrete indices beat ivars."""
+    for l, cl2 in src.items():
+        cl1 = dst.get(l)
+        if cl1 is None or isinstance(cl1.ext, Ivar) and not isinstance(cl2.ext, Ivar):
+            dst[l] = cl2
+        elif (cl1.region, cl1.ext) != (cl2.region, cl2.ext) \
+                and isinstance(cl1.ext, Ivar) == isinstance(cl2.ext, Ivar):
             raise StoreError("MergeConflict", f"location {l}: {cl1} vs {cl2}")
-    return out
 
 
 ### field linking
 
 def link_fields(s: Store, m: LocationMap, decls: Decls, tau_prev: str,
-                cl_prev: ConcreteLoc, l_next: str) -> Store:
-    """Stitch field k to field k+1 across a region boundary.
+                cl_prev: ConcreteLoc, l_next: str) -> bool:
+    """Stitch field k to field k+1 across a region boundary; whether a cell
+    was written.
 
     If the successor location resolves to an Indirection(r2, i2), an
     indirection cell is written one past the end of field k; fields that sit
-    contiguously need nothing and the store is returned unchanged.
+    contiguously need nothing.
     """
     nxt = m.get(l_next)
     if nxt is None or not isinstance(nxt.ext, Indirection):
-        return s
+        return False
     cl = deref_concrete(cl_prev)
     if not isinstance(cl.ext, Concrete):
         raise StoreError("IncompleteValue", f"field at {cl} not addressable")

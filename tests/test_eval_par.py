@@ -325,6 +325,25 @@ class TestBlockedOn:
         res = P.run_par(tp, P.always_fork())
         assert copies[0] == res.metrics["forks"] + 1 == 16
 
+    def test_a_split_copies_each_shared_heap_at_most_once(self, load_program):
+        # (task, region) -> the heap dicts the task has held for the region
+        # since its last fork, when parent and child start sharing them
+        held: dict = {}
+        m = P.Machine(load_program("buildtree.lcp"))
+        while actions := m.enabled():
+            act = P.choose_action(P.always_fork(), actions, len(m.decisions))
+            child = m.apply(act)
+            for task in m.ts.tasks.values():
+                split = child is not None and task.tid in (act[1], child.tid)
+                for r, heap in task.state.store.regions.items():
+                    hs = held.setdefault((task.tid, r), [heap])
+                    if split:
+                        hs[:] = [heap]
+                    elif hs[-1] is not heap:
+                        hs.append(heap)
+        assert m.ctx.metrics["forks"] > 0
+        assert max(map(len, held.values())) == 2
+
 
 class TestTwoWaiters:
     def test_every_explored_terminal_gives_the_sum(self):

@@ -194,3 +194,15 @@ class TestRefocusing:
         heap = res.store.regions[res.value.loc.region]
         assert res.value.loc.ext.index == 0
         assert heap == {**{i: Tag("Su") for i in range(n)}, n: Tag("Z")}
+
+
+class TestHeapOwnership:
+    def test_sequential_run_keeps_one_heap_per_region(self):
+        # a state that is never copied owns every heap and writes it in place
+        tp = typecheck_program(S.parse_program(bench_source("spine", 500)))
+        ctx, st = RunContext(tp), SeqState(Store(), {}, tp.program.main)
+        heaps = {}
+        while not isinstance(step_seq(ctx, st), Value):
+            for r, heap in st.store.regions.items():
+                assert heaps.setdefault(r, heap) is heap, r
+        assert sum(map(len, heaps.values())) == ctx.metrics["cells_written"] > 500

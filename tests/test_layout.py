@@ -48,9 +48,11 @@ class TestFlatten:
     def test_missing_cell_raises(self, load_program):
         tp = load_program("constfold.lcp")
         res = run_seq(tp)
-        store = res.store.copy()
+        # a copy shares its heaps, and only the store's own writes copy one
+        store = Store({r: dict(heap) for r, heap in res.store.regions.items()})
         out_r = res.value.loc.region
         del store.regions[out_r][4]
+        assert res.store.cell(out_r, 4) is not None
         with pytest.raises(L.IncompleteValue):
             L.flatten_value(res.value.loc, "Exp", store, tp.decls)
 
@@ -382,14 +384,16 @@ class TestMalformedBuffers:
                              ids=["link", "pointer"])
     def test_cycle_raises(self, marker):
         # a link or pointer to itself, and a constructor whose field points
-        # back at it: neither may loop or exhaust the stack
+        # back at it: neither parsing nor traversal may loop or exhaust the
+        # stack
         nat = L.Schema({"Su": ("Nat",), "Z": ()})
         su = nat.table["Su"][0]
         for data in (bytes([marker]) + struct.pack("<Q", 0) + bytes([su]),
                      bytes([su, marker]) + struct.pack("<Q", 0)):
             ch = L.Chunks(bytearray(data), [0], 1, nat)
-            with pytest.raises(L.MalformedBuffer, match="cycle"):
-                L.byte_parse(ch)
+            for read in (L.byte_parse, lambda ch: L.traverse_bytes(ch, 1)):
+                with pytest.raises(L.MalformedBuffer, match="cycle"):
+                    read(ch)
 
     def test_truncated_buffer(self):
         ch = L.byte_serialize(GOLDEN, EXP_SCHEMA, mode="packed")
