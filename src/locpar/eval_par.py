@@ -1,17 +1,21 @@
 """Parallel task-set evaluator: forking lets, lazy joins, schedule control.
 
-A task owns a private state (store, location map, expression), which its
-steps and joins rewrite in place; a fork gives the child a copy.  Forking a
-spawn-flagged let mints a fresh ivar: the child inherits the concrete address
-of the bound location and produces the value there, while the parent sees the
-location (and the let-bound variable) as the ivar until a join.  Joins are
-lazy: they fire only when a consumer is blocked on an ivar (or holds one in
-its finished value) and the producing task has run to completion.  A join
-merges the producer's store and location map into the consumer, replaces the
-ivar with the producer's concrete result address, and, for a constructor
-join, stitches the next field in with an indirection cell when it was
-allocated into a fresh region.  A joined producer stays available while
-another task holds its ivar, so every waiter on one ivar can join it.
+A task owns a private state (store, location map, and code under
+environments), which its steps and joins rewrite in place; a fork gives the
+child a copy, which shares the program's code and the environments.  Forking
+a spawn-flagged let mints a fresh ivar: the child takes the frames above the
+let and produces the bound value at the bound location's concrete address,
+while the parent runs the let's body with the location (and the let-bound
+variable) bound to the ivar until a join.  Joins are lazy: they fire only
+when a consumer is blocked on an ivar (or holds one in its finished value)
+and the producing task has run to completion.  A join merges the producer's
+store and location map into the consumer, replaces the ivar with the
+producer's concrete result address in the consumer's values (the focus, the
+frames' evaluated children, the environments' bindings; no code is
+rewritten), and, for a constructor join, stitches the next field in with an
+indirection cell when it was allocated into a fresh region.  A joined
+producer stays available while a live task holds its ivar, so every waiter
+on one ivar can join it; per-ivar holder counts tell when none does.
 
 One `Machine` owns a run's task set and applies fork, step and join actions
 to it in place.  Three loops choose its actions: `run_par` follows a
@@ -21,7 +25,10 @@ explorer still visits and checks every reachable state, but skips the
 transitions that commute into states it has already visited (sleep sets):
 actions of different tasks commute unless one is a join or both are forks,
 because tasks own private stores and the canonical hash renames fresh names
-by first appearance.
+by first appearance.  The hash prints each task's frames and focus under
+their environments as its whole expression would print, from templates of
+the program's nodes that the task set keeps; it builds no node and keeps
+its own stacks, so any depth can be hashed.
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ from .store import (Store, ConcreteLoc, Concrete, Ivar, Indirection,
                     Tag, Scalar, IndirectionCell, StoreError,
                     deref_concrete, end_witness, alloc_frontier,
                     merge_store, merge_locmap, link_fields)
-from .eval_seq import (SeqState, RunContext, step_seq, Stepped, SemanticsError,
-                       RunResult, blocked_on)
+from .eval_seq import (SeqState, Env, RunContext, step_seq, Stepped,
+                       SemanticsError, RunResult, blocked_on)
 
 
 ### tasks
@@ -66,6 +73,10 @@ class TaskSet:
     # ivar -> producer already joined once, kept while a live task holds the
     # ivar, so that every other waiter on it can join it too
     joined: dict[str, Task] = dcfield(default_factory=dict)
+    holders: dict[str, int] = dcfield(default_factory=dict)  # ivar -> live tasks holding it
+    # (node id, evaluated children, has a hole) -> (node, template): the
+    # canonical hash's printing of the program's nodes, which copies share
+    templates: dict = dcfield(default_factory=dict, repr=False, compare=False)
 
     def ordered(self) -> list[Task]:
         return [self.tasks[k] for k in sorted(self.tasks)]
@@ -82,7 +93,17 @@ class TaskSet:
     def copy(self) -> "TaskSet":
         return TaskSet({k: t.copy() for k, t in self.tasks.items()},
                        dict(self.registry), self.next_tid,
-                       {iv: t.copy() for iv, t in self.joined.items()})
+                       {iv: t.copy() for iv, t in self.joined.items()},
+                       dict(self.holders), self.templates)
+
+    def hold(self, ivars, by: int) -> None:
+        """Count `by` more (or fewer) live holders of each of `ivars`."""
+        for iv in ivars:
+            n = self.holders.get(iv, 0) + by
+            if n:
+                self.holders[iv] = n
+            else:
+                del self.holders[iv]
 
 
 ### schedules
@@ -124,12 +145,12 @@ def _spawn_redex(ctx: RunContext, task: Task) -> int | None:
     frames.  A let is forkable when it is marked spawn (or implicit
     parallelism is on), binds a located value, and its target location is
     already concrete."""
-    for n, (e, _) in enumerate(task.state.frames):
+    for n, (e, env, _) in enumerate(task.state.frames):
         if not isinstance(e, S.Let):
             return None
         if (e.spawn or ctx.implicit_par) \
                 and isinstance(e.ty, S.PackedType) and e.ty.tycon != "Int":
-            cl = task.state.locmap.get(e.ty.loc)
+            cl = task.state.locmap.get(env.loc(e.ty.loc))
             if cl is not None and not isinstance(cl.ext, Ivar):
                 return n
     return None
@@ -180,27 +201,30 @@ def _fork(ctx: RunContext, ts: TaskSet, parent: Task) -> Task:
 
     The child produces the let's bound expression at the bound location,
     from a snapshot of the parent's state: the frames above the let, and
-    the focus.  The parent keeps the frames below the let and continues
-    with its body, the location and the let-bound variable now a fresh ivar.
+    the focus, each with its environment.  The parent keeps the frames
+    below the let and continues with its body under the let's environment,
+    the location and the let-bound variable now a fresh ivar.
     """
     n = _spawn_redex(ctx, parent)
     pst = parent.state
-    e = pst.frames[n][0]
-    lt = e.ty
+    e, env, _ = pst.frames[n]
+    lt = env.ty(e.ty)
     iv = ctx.supply.fresh("iv")
     child_state = pst.copy()
     del child_state.frames[:n + 1]
     region = pst.locmap[lt.loc].region
     child = Task(ts.next_tid, lt, ConcreteLoc(region, Ivar(iv), lt.loc),
                  child_state, set(parent.holds))
+    ts.hold(child.holds, 1)
     # the parent now sees the bound location (and variable) through the ivar
     pst.locmap[lt.loc] = ConcreteLoc(region, Ivar(iv), lt.loc)
     parent.holds.add(iv)
+    ts.hold([iv], 1)
     pst.sigma[lt.loc] = lt
     pst.nursery.discard(lt.loc)
     hole = S.ConcreteLocVal(ConcreteLoc(region, Ivar(iv), lt.loc))
     del pst.frames[n:]
-    pst.refocus(S.substitute(e.body, var_map={e.var: hole}))
+    pst.refocus(e.body, env.bind(vars={e.var: hole}))
     ts.next_tid += 1
     ts.tasks[child.tid] = child
     ts.registry[iv] = child.tid
@@ -214,7 +238,8 @@ def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
     the producer's state is not written, so every other waiter can join it.
 
     The first join moves the producer from the live tasks to `joined`; a
-    joined producer is dropped once no live task holds its ivar.
+    joined producer is dropped once no live task holds its ivar, which the
+    per-ivar holder counts tell without a scan of the tasks.
     """
     iv, why = need
     prod = ts.producer(iv)
@@ -233,38 +258,70 @@ def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
     cst.frontier_notes.update(pst.frontier_notes)
     cst.nursery = (cst.nursery | pst.nursery) - set(cst.sigma)
     # replace the ivar with the producer's concrete result address
-    cst.expr = S.substitute(cst.expr, ivar_map={iv: ploc})
-    consumer.holds = set()
+    _resolve_ivar(cst, iv, ploc)
+    holds = set()
     for l, cl in list(cst.locmap.items()):
         if isinstance(cl.ext, Ivar):
             if cl.ext.name == iv:
                 cst.locmap[l] = ConcreteLoc(ploc.region, ploc.ext, cl.origin)
             else:
-                consumer.holds.add(cl.ext.name)
+                holds.add(cl.ext.name)
+    dropped = consumer.holds - holds
+    ts.hold(dropped, -1)
+    ts.hold(holds - consumer.holds, 1)
+    consumer.holds = holds
     if why == "datacon":
         _join_link_fields(ctx, cst, iv)
     if ts.registry.get(iv) == prod.tid:
         del ts.tasks[prod.tid]
         del ts.registry[iv]
         ts.joined[iv] = prod
-    for j in list(ts.joined):
-        if not any(j in t.holds for t in ts.tasks.values()):
+        ts.hold(prod.holds, -1)
+        dropped |= prod.holds
+    # only an ivar that just lost a holder can have lost its last one
+    for j in dropped:
+        if j in ts.joined and not ts.holders.get(j):
             del ts.joined[j]
     ctx.metrics["joins"] += 1
 
 
+def _resolve_ivar(st: SeqState, iv: str, to: ConcreteLoc) -> None:
+    """Replace the ivar `iv` in the state's values with the address `to`:
+    in the focus, the frames' evaluated children and every environment's
+    bindings.  Each hole keeps its own origin.  Environments are shared, so
+    one that binds the ivar is rebuilt, once however many frames hold it."""
+    def val(v):
+        if isinstance(v, S.ConcreteLocVal) and v.loc.ext == Ivar(iv):
+            return S.ConcreteLocVal(ConcreteLoc(to.region, to.ext, v.loc.origin))
+        return v
+
+    envs: dict[int, Env] = {}  # id -> the environment that replaces it
+
+    def env(e: Env) -> Env:
+        if id(e) not in envs:
+            vs = {x: val(v) for x, v in e.vars.items()}
+            envs[id(e)] = e if vs == e.vars else Env(vs, e.locs, e.regs, e.n0, e.binders)
+        return envs[id(e)]
+
+    st.focus = val(st.focus)
+    st.env = env(st.env)
+    st.args = tuple(map(val, st.args))
+    st.frames = [(node, env(fenv), tuple(map(val, vals)))
+                 for node, fenv, vals in st.frames]
+
+
 def _join_link_fields(ctx: RunContext, cst: SeqState, iv: str) -> None:
     """After a constructor join, stitch each resolved field to its successor."""
-    e = cst.focus
+    e, fields = cst.focus, cst.args
     if not isinstance(e, S.DataCon):
         return
     ftys = ctx.decls.fields(e.tag)
-    for k, (fty, fv) in enumerate(zip(ftys, e.fields)):
-        if fty == "Int" or k + 1 >= len(e.fields):
+    for k, (fty, fv) in enumerate(zip(ftys, fields)):
+        if fty == "Int" or k + 1 >= len(fields):
             continue
         if not isinstance(fv, S.ConcreteLocVal) or isinstance(fv.loc.ext, Ivar):
             continue
-        nxt = e.fields[k + 1]
+        nxt = fields[k + 1]
         if not isinstance(nxt, S.ConcreteLocVal) or nxt.loc.origin is None:
             continue
         if link_fields(cst.store, cst.locmap, ctx.decls, fty, fv.loc,
@@ -402,7 +459,7 @@ class Machine:
         metrics = dict(self.ctx.metrics)
         metrics["peak_tasks"] = self.peak
         metrics["decisions"] = self.decisions
-        return RunResult(root.state.expr, final.store, final.locmap, metrics,
+        return RunResult(root.state.focus, final.store, final.locmap, metrics,
                          final, [])
 
     def _forget(self, tid: int) -> None:
@@ -598,8 +655,8 @@ def _check_allocation(ctx: RunContext, task: Task, ends: dict) -> list[str]:
                         break
             except StoreError as err:
                 v.append(f"{label}: allocation site {l} unreadable: {err}")
-    if task.complete() and isinstance(task.state.expr, S.ConcreteLocVal):
-        cl = task.state.expr.loc
+    if isinstance(task.state.focus, S.ConcreteLocVal):
+        cl = task.state.focus.loc
         if isinstance(cl.ext, Concrete) and task.rtype is not None:
             try:
                 r_end, end = end_witness(ctx.decls, task.rtype.tycon,
@@ -636,7 +693,7 @@ def _pending_write_region(ctx: RunContext, task: Task) -> str | None:
     e = task.state.focus
     if not isinstance(e, S.DataCon) or blocked_on(task.state) is not None:
         return None
-    cl = task.state.locmap.get(e.loc)
+    cl = task.state.locmap.get(task.state.env.loc(e.loc))
     return None if cl is None else deref_concrete(cl).region
 
 
@@ -734,6 +791,149 @@ def enumerate_schedules(tp, bound: int, state_cap: int = 200_000,
 
 
 ### canonical hashing
+#
+# A state prints as its whole expression, the focus plugged into every frame
+# and every name bound, would print recursively, and fresh names are renamed
+# by first appearance, in the order that printer reaches them (a case's
+# branches before its scrutinee, a letloc's location expression before its
+# binder).  Each frame's node, and the focus, prints from a template made
+# once per node, child and task set: the node's text with a slot for each
+# name, and the slots in naming order.
+
+def _template(e, k: int, hole: bool, binders: dict[int, int] | None):
+    """The template of node `e` whose first k children in evaluation
+    position are values, and the next, if `hole`, a frame's hole: its
+    chunks, with "" in each slot, and its slots as (position, kind, name,
+    binder number or value) in naming order.  Kinds: 'b' a binder of the
+    code, named from its number; 'v', 'l', 'r' a variable, location or
+    region that the environment resolves; 'a' the j-th evaluated child;
+    'h' the hole.  The walk keeps its own stack: text, (code, scope),
+    (None, j) for e's child j, and a case's scrutinee between the list that
+    takes its text and None.  A scope maps the code's bound variables,
+    locations and regions to their binders."""
+    out: list = []
+    outs: list[list] = []
+    named: list[tuple] = []
+
+    def binder(node, x: str, offset: int = 0) -> tuple:
+        if binders is None:  # main's binders keep their names
+            return put(("b", x, None))
+        return put(("b", x.split("%", 1)[0], binders[id(node)] + offset))
+
+    def put(slot: tuple) -> tuple:
+        named.append(slot)
+        return slot
+
+    def ref(kind: str, x: str, sc) -> tuple:
+        bound = sc["vlr".index(kind)].get(x)
+        return put(("b", *bound) if bound else (kind, x, None))
+
+    def bind(sc, kind: str, b: tuple):
+        i = "vlr".index(kind)
+        return tuple({**d, b[1]: b[1:]} if n == i else d for n, d in enumerate(sc))
+
+    def ty(t: S.Type, sc) -> list:
+        if not isinstance(t, S.PackedType):
+            return ["Int"]
+        return [t.tycon + "@", ref("l", t.loc, sc), "@", ref("r", t.region, sc)]
+
+    def kid(node, j: int, c, sc) -> tuple:
+        """The stack item for child j of `node`: e's are values or the hole."""
+        return (c, sc) if node is not e or j > k or j == k and not hole else (None, j)
+
+    todo: list = [(e, ({}, {}, {}))]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if type(item) is list:
+            outs.append(out)
+            out = item
+            continue
+        if item is None:
+            out = outs.pop()
+            continue
+        c, sc = item
+        if c is None:
+            out.append(put(("a" if sc < k else "h", None, sc)))
+        elif isinstance(c, S.Var):
+            out.append(ref("v", c.name, sc))
+        elif isinstance(c, S.IntLit):
+            out.append(str(c.value))
+        elif isinstance(c, S.Let):
+            b = binder(c, c.var)
+            out += ["let! " if c.spawn else "let ", b, ":", *ty(c.ty, sc), "="]
+            todo += [(c.body, bind(sc, "v", b)), ";", kid(c, 0, c.bound, sc)]
+        elif isinstance(c, S.LetLoc):
+            le = c.locexpr
+            if isinstance(le, S.StartOfRegion):
+                les = ["start ", ref("r", le.region, sc)]
+            elif isinstance(le, S.AfterTag):
+                les = [ref("l", le.loc, sc), "+1"]
+            else:
+                les = ["after ", *ty(le.ty, sc)]
+            b = binder(c, c.loc)
+            out += ["letloc ", b, "@", ref("r", c.region, sc), "=", *les, ";"]
+            todo.append((c.body, bind(sc, "l", b)))
+        elif isinstance(c, S.LetRegion):
+            b = binder(c, c.region)
+            out += ["letreg ", b, ";"]
+            todo.append((c.body, bind(sc, "r", b)))
+        elif isinstance(c, S.Case):  # its branches are named before its scrutinee
+            scrut: list = []
+            out += ["case ", scrut, "{"]
+            todo += [None, kid(c, 0, c.scrut, sc), scrut, "}",
+                     *[x for b in reversed(c.branches) for x in ((b, sc), ";")][:-1]]
+        elif isinstance(c, S.ConBranch):
+            pats, bsc, n = [], sc, 0
+            for x, t in c.fields:
+                b = binder(c, x, n)
+                bsc = bind(bsc, "v", b)
+                pats += [",", b, ":"]
+                if isinstance(t, S.PackedType):
+                    bl = binder(c, t.loc, n + 1)
+                    bsc = bind(bsc, "l", bl)
+                    pats += [t.tycon + "@", bl, "@", ref("r", t.region, sc)]
+                else:
+                    pats.append("Int")
+                n += 1 + isinstance(t, S.PackedType)
+            out += [c.tag + "(", *pats[1:], ")->"]
+            todo.append((c.body, bsc))
+        elif isinstance(c, (S.IntBranch, S.DefaultBranch)):
+            out.append(f"{c.value}->" if isinstance(c, S.IntBranch) else "_->")
+            todo.append((c.body, sc))
+        elif isinstance(c, S.PrimOp):
+            out.append("(")
+            todo += [")", kid(c, 1, c.rhs, sc), c.op, kid(c, 0, c.lhs, sc)]
+        elif isinstance(c, (S.App, S.DataCon)):
+            if isinstance(c, S.App):
+                out.append(c.func + "[")
+                for n, (l, r) in enumerate(c.locargs):
+                    out += ["," if n else "", ref("l", l, sc), "@", ref("r", r, sc)]
+                out.append("](")
+                kids = c.args
+            else:
+                out += [c.tag + "@", ref("l", c.loc, sc), "@", ref("r", c.region, sc), "("]
+                kids = c.fields
+            items = [x for j, a in enumerate(kids) for x in (",", kid(c, j, a, sc))]
+            todo += [")", *reversed(items[1:])]
+        else:
+            out.append(repr(c))
+    # splice the scrutinees' text in, and find where each slot is
+    flat: list = []
+    stack = [iter(out)]
+    while stack:
+        for x in stack[-1]:
+            if type(x) is list:
+                stack.append(iter(x))
+                break
+            flat.append(x)
+        else:
+            stack.pop()
+    at = {id(x): i for i, x in enumerate(flat) if type(x) is tuple}
+    return [x if type(x) is str else "" for x in flat], [(at[id(x)], *x) for x in named]
+
 
 def canonical_hash(ts: TaskSet) -> int:
     renames: dict[str, str] = {}
@@ -761,52 +961,52 @@ def canonical_hash(ts: TaskSet) -> int:
             es = f"ind:{name(ext.region)}:{ext.index}"
         return f"{name(cl.region)}|{es}|{name(cl.origin)}"
 
-    def expr_repr(e: S.Expr) -> str:
-        if isinstance(e, S.ConcreteLocVal):
-            return f"<{cl_repr(e.loc)}>"
-        if isinstance(e, S.Var):
-            return name(e.name)
-        if isinstance(e, S.IntLit):
-            return str(e.value)
-        if isinstance(e, S.PrimOp):
-            return f"({expr_repr(e.lhs)}{e.op}{expr_repr(e.rhs)})"
-        if isinstance(e, S.App):
-            locs = ",".join(f"{name(l)}@{name(r)}" for l, r in e.locargs)
-            return f"{e.func}[{locs}](" + ",".join(map(expr_repr, e.args)) + ")"
-        if isinstance(e, S.DataCon):
-            return (f"{e.tag}@{name(e.loc)}@{name(e.region)}("
-                    + ",".join(map(expr_repr, e.fields)) + ")")
-        if isinstance(e, S.Let):
-            return (f"let{'!' if e.spawn else ''} {name(e.var)}:{_ty_repr(e.ty)}"
-                    f"={expr_repr(e.bound)};{expr_repr(e.body)}")
-        if isinstance(e, S.LetLoc):
-            le = e.locexpr
-            if isinstance(le, S.StartOfRegion):
-                les = f"start {name(le.region)}"
-            elif isinstance(le, S.AfterTag):
-                les = f"{name(le.loc)}+1"
-            else:
-                les = f"after {_ty_repr(le.ty)}"
-            return f"letloc {name(e.loc)}@{name(e.region)}={les};{expr_repr(e.body)}"
-        if isinstance(e, S.LetRegion):
-            return f"letreg {name(e.region)};{expr_repr(e.body)}"
-        if isinstance(e, S.Case):
-            bs = []
-            for b in e.branches:
-                if isinstance(b, S.ConBranch):
-                    pats = ",".join(f"{name(x)}:{_ty_repr(t)}" for x, t in b.fields)
-                    bs.append(f"{b.tag}({pats})->{expr_repr(b.body)}")
-                elif isinstance(b, S.IntBranch):
-                    bs.append(f"{b.value}->{expr_repr(b.body)}")
-                else:
-                    bs.append(f"_->{expr_repr(b.body)}")
-            return f"case {expr_repr(e.scrut)}{{{';'.join(bs)}}}"
-        return repr(e)
+    def val_repr(v: S.Expr) -> str:
+        return str(v.value) if isinstance(v, S.IntLit) else f"<{cl_repr(v.loc)}>"
 
-    def _ty_repr(ty: S.Type) -> str:
-        if isinstance(ty, S.PackedType):
-            return f"{ty.tycon}@{name(ty.loc)}@{name(ty.region)}"
-        return "Int"
+    def fill(level: list) -> int | None:
+        """Fill a level's slots in order, up to its hole; the hole's
+        position, or None once every slot is filled."""
+        chunks, slots, env, vals = level
+        for at, kind, x, j in slots:
+            if kind == "b":  # a binder: base%(n0 + its number), in main x
+                chunks[at] = name(x if j is None else f"{x}%{env.n0 + j}")
+            elif kind == "v":
+                v = env.vars.get(x)
+                chunks[at] = name(x) if v is None else val_repr(v)
+            elif kind == "l" or kind == "r":
+                chunks[at] = name(env.loc(x) if kind == "l" else env.reg(x))
+            elif kind == "h":
+                return at
+            else:
+                chunks[at] = val_repr(vals[j])
+        return None
+
+    def expr_repr(st: SeqState) -> str:
+        """The text of frame after frame down to the focus, from their
+        templates, each frame's text waiting at its hole for the next's."""
+        open_levels = []
+        for i in range(len(st.frames) + 1):
+            e, env, vals = st.frames[i] if i < len(st.frames) \
+                else (st.focus, st.env, st.args)
+            if S.is_value(e):
+                text = val_repr(e)
+                break
+            key = (id(e), len(vals), i < len(st.frames))
+            hit = ts.templates.get(key)
+            if hit is None or hit[0] is not e:
+                hit = ts.templates[key] = (e, _template(e, *key[1:], env.binders))
+            level = [list(hit[1][0]), iter(hit[1][1]), env, vals]
+            hole = fill(level)
+            if hole is None:
+                text = "".join(level[0])
+                break
+            open_levels.append((level, hole))
+        for level, hole in reversed(open_levels):
+            level[0][hole] = text
+            fill(level)
+            text = "".join(level[0])
+        return text
 
     def hv_repr(hv) -> str:
         if isinstance(hv, Tag):
@@ -817,7 +1017,7 @@ def canonical_hash(ts: TaskSet) -> int:
 
     def append_task(task: Task) -> None:
         st = task.state
-        parts.append(f"T{expr_repr(st.expr)}")
+        parts.append(f"T{expr_repr(st)}")
         parts.append("G" + cl_repr(task.target))
         for r in st.store.regions:
             heap = st.store.regions[r]

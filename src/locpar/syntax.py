@@ -1,17 +1,21 @@
-"""Abstract syntax, concrete `.lcp` format, printing, substitution, instantiation.
+"""Abstract syntax, concrete `.lcp` format, printing, fresh names, binder numbering.
 
 Programs are fully location-annotated: every allocating expression names the
 location and region it writes to, and locations are introduced relative to
 existing ones (start of region, one past a tag, after a whole value).
 Constructor names start with an upper-case letter; variables, functions,
 locations, and regions start lower-case.  `--` begins a line comment.
+
+Evaluation never rewrites a program's terms: the machines run them under
+environments, and a call names its body's binders by their numbers from
+`number_binders`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .store import ConcreteLoc, Ivar, Decls
+from .store import ConcreteLoc, Decls
 
 
 ### types
@@ -697,124 +701,46 @@ class NameSupply:
         return name
 
 
-### substitution
+### binders
 
-def substitute(e: Expr,
-               var_map: dict[str, Expr] | None = None,
-               loc_map: dict[str, str] | None = None,
-               reg_map: dict[str, str] | None = None,
-               ivar_map: dict[str, ConcreteLoc] | None = None) -> Expr:
-    """Simultaneous capture-avoiding substitution.
+def number_binders(body: Expr) -> tuple[dict[int, int], int]:
+    """Number a function body's binders in the order a call names them.
 
-    var_map sends variables to value expressions, loc_map and reg_map rename
-    symbolic locations and regions, and ivar_map resolves ivars inside
-    concrete-location values: each takes the region and extended index of
-    the address its ivar maps to, and keeps its own origin.
+    Preorder: a let's bound expression, then its variable, then its body; a
+    letloc's or letregion's binder, then its body; a case's scrutinee, then
+    each branch in turn, where a constructor pattern numbers each field's
+    variable and then, for a located field type, its location.  Returns
+    each binding node's first number, keyed by node identity (equal
+    subterms in different places bind different names), and the count.
+    The walk keeps its own stack, so any depth can be numbered.
     """
-    vm = dict(var_map or {})
-    lm = dict(loc_map or {})
-    rm = dict(reg_map or {})
-    im = dict(ivar_map or {})
-    if not (vm or lm or rm or im):
-        return e
-    return _subst(e, vm, lm, rm, im)
-
-
-def _subst_ty(ty: Type, lm: dict[str, str], rm: dict[str, str]) -> Type:
-    if isinstance(ty, PackedType) and (ty.loc in lm or ty.region in rm):
-        return PackedType(ty.tycon, lm.get(ty.loc, ty.loc), rm.get(ty.region, ty.region))
-    return ty
-
-
-def _subst_cl(cl: ConcreteLoc, im: dict[str, ConcreteLoc]) -> ConcreteLoc:
-    if isinstance(cl.ext, Ivar) and cl.ext.name in im:
-        to = im[cl.ext.name]
-        return ConcreteLoc(to.region, to.ext, cl.origin)
-    return cl
-
-
-def _bind(x: str, m: dict, ns: NameSupply | None, wrap=lambda n: n):
-    """A binder's name and the map its scope sees: a fresh name mapped in
-    when a name supply is given, otherwise x itself, shadowing its entry."""
-    if ns is None:
-        return x, {k: v for k, v in m.items() if k != x}
-    x2 = ns.fresh(x)
-    return x2, {**m, x: wrap(x2)}
-
-
-def _subst(e: Expr, vm: dict[str, Expr], lm: dict[str, str],
-           rm: dict[str, str], im: dict[str, ConcreteLoc],
-           ns: NameSupply | None = None) -> Expr:
-    """One traversal for substitution and instantiation: with a name supply
-    every binder is renamed to a fresh name, drawn in preorder."""
-    if isinstance(e, Var):
-        return vm.get(e.name, e)
-    if isinstance(e, IntLit):
-        return e
-    if isinstance(e, ConcreteLocVal):
-        return ConcreteLocVal(_subst_cl(e.loc, im))
-    if isinstance(e, PrimOp):
-        return PrimOp(e.op, _subst(e.lhs, vm, lm, rm, im, ns),
-                      _subst(e.rhs, vm, lm, rm, im, ns))
-    if isinstance(e, App):
-        locargs = tuple((lm.get(l, l), rm.get(r, r)) for l, r in e.locargs)
-        return App(e.func, locargs,
-                   tuple(_subst(a, vm, lm, rm, im, ns) for a in e.args))
-    if isinstance(e, DataCon):
-        return DataCon(e.tag, lm.get(e.loc, e.loc), rm.get(e.region, e.region),
-                       tuple(_subst(f, vm, lm, rm, im, ns) for f in e.fields))
-    if isinstance(e, Let):
-        bound = _subst(e.bound, vm, lm, rm, im, ns)
-        x2, vm2 = _bind(e.var, vm, ns, Var)
-        return Let(x2, _subst_ty(e.ty, lm, rm), bound,
-                   _subst(e.body, vm2, lm, rm, im, ns), e.spawn)
-    if isinstance(e, LetLoc):
-        le = e.locexpr
-        if isinstance(le, StartOfRegion):
-            le = StartOfRegion(rm.get(le.region, le.region))
-        elif isinstance(le, AfterTag):
-            le = AfterTag(lm.get(le.loc, le.loc), rm.get(le.region, le.region))
-        else:
-            le = AfterValue(_subst_ty(le.ty, lm, rm))  # type: ignore[arg-type]
-        l2, lm2 = _bind(e.loc, lm, ns)
-        return LetLoc(l2, rm.get(e.region, e.region), le,
-                      _subst(e.body, vm, lm2, rm, im, ns))
-    if isinstance(e, LetRegion):
-        r2, rm2 = _bind(e.region, rm, ns)
-        return LetRegion(r2, _subst(e.body, vm, lm, rm2, im, ns))
-    if isinstance(e, Case):
-        scrut = _subst(e.scrut, vm, lm, rm, im, ns)
-        branches: list[Branch] = []
-        for b in e.branches:
-            if isinstance(b, ConBranch):
-                vm2, lm2 = vm, lm
-                fields = []
-                for x, ty in b.fields:
-                    x2, vm2 = _bind(x, vm2, ns, Var)
-                    if isinstance(ty, PackedType):
-                        l2, lm2 = _bind(ty.loc, lm2, ns)
-                        ty = PackedType(ty.tycon, l2, rm.get(ty.region, ty.region))
-                    fields.append((x2, ty))
-                branches.append(ConBranch(b.tag, tuple(fields),
-                                          _subst(b.body, vm2, lm2, rm, im, ns)))
-            elif isinstance(b, IntBranch):
-                branches.append(IntBranch(b.value, _subst(b.body, vm, lm, rm, im, ns)))
-            else:
-                branches.append(DefaultBranch(_subst(b.body, vm, lm, rm, im, ns)))
-        return Case(scrut, tuple(branches))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-### instantiation
-
-def instantiate(fd: FunDecl, locargs, args, supply: NameSupply) -> Expr:
-    """Instantiate a function body in one pass: formals map to the actual
-    locations/regions/arguments while every local binder gets a fresh name."""
-    lm: dict[str, str] = {}
-    rm: dict[str, str] = {}
-    for (fl, fr), (al, ar) in zip(fd.locparams, locargs):
-        lm[fl] = al
-        rm[fr] = ar
-    vm: dict[str, Expr] = {x: arg for (x, _), arg in zip(fd.params, args)}
-    return _subst(fd.body, vm, lm, rm, {}, supply)
-
+    first: dict[int, int] = {}
+    n = 0
+    todo: list = [body]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, tuple):  # a let whose bound expression is numbered
+            first[id(e[0])] = n
+            n += 1
+        elif isinstance(e, Let):
+            todo += [e.body, (e,), e.bound]
+        elif isinstance(e, (LetLoc, LetRegion)):
+            first[id(e)] = n
+            n += 1
+            todo.append(e.body)
+        elif isinstance(e, ConBranch):
+            first[id(e)] = n
+            n += sum(1 + isinstance(ty, PackedType) for _, ty in e.fields)
+            todo.append(e.body)
+        elif isinstance(e, (IntBranch, DefaultBranch)):
+            todo.append(e.body)
+        elif isinstance(e, Case):
+            todo += reversed(e.branches)
+            todo.append(e.scrut)
+        elif isinstance(e, PrimOp):
+            todo += [e.rhs, e.lhs]
+        elif isinstance(e, App):
+            todo += reversed(e.args)
+        elif isinstance(e, DataCon):
+            todo += reversed(e.fields)
+    return first, n

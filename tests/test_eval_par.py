@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,8 @@ from locpar import eval_par as P
 from locpar import syntax as S
 from locpar.eval_seq import (SemanticsError, SeqState, Stepped, blocked_on,
                              run_seq, step_seq, verify_frontier_notes)
-from locpar.store import IndirectionCell, Ivar, Scalar, Tag
+from locpar.store import (Concrete, ConcreteLoc, Indirection, IndirectionCell,
+                          Ivar, Scalar, Store, Tag)
 from locpar.typecheck import typecheck_program
 
 
@@ -144,6 +146,20 @@ class TestEnumeration:
         m.apply(m.enabled()[0])
         assert P.canonical_hash(m.ts) != h0
 
+    def test_canonical_hash_of_a_deep_chain(self, monkeypatch,
+                                            default_recursion_limit):
+        # the printer keeps its own stack: a focus under 10,000 frames
+        # prints under the default recursion limit
+        e = S.IntLit(1)
+        for _ in range(10_000):
+            e = S.PrimOp("+", e, S.IntLit(1))
+        ts = P.TaskSet({0: P.Task(0, None, None, SeqState(Store(), {}, e))})
+        assert len(ts.root().state.frames) == 9_999
+        texts = []
+        monkeypatch.setattr(P, "hash", texts.append, raising=False)
+        P.canonical_hash(ts)
+        assert texts == ["T" + "(" * 10_000 + "1+1)" + "+1)" * 9_999 + "\nG·"]
+
     def test_canonical_hash_ignores_fresh_name_counters(self, load_program):
         # two machines whose fresh-name counters start at different offsets
         # walk through alpha-equivalent states with equal hashes
@@ -211,6 +227,10 @@ def assert_ready_set_matches_rescan(tp, make_schedule):
                                   if isinstance(cl.ext, Ivar)}
             held |= task.holds
         assert set(m.ts.joined) == held - set(m.ts.registry)
+        # the holder counts the join prunes `joined` by are a recount of
+        # the live tasks' holds
+        assert m.ts.holders == Counter(iv for task in m.ts.tasks.values()
+                                       for iv in task.holds)
         if not actions:
             break
         m.apply(P.choose_action(sched, actions, len(m.decisions)))
@@ -489,6 +509,33 @@ main =
   letloc l@r = start r in
   1 + (let t : Tree@l@r = spawn (mk [l@r] 5) in (sum [l@r] t))
 """
+
+
+class TestJoin:
+    def test_ivar_resolves_into_another_region(self):
+        # a producer may have written its value behind an indirection in a
+        # region other than the one the ivar was minted in; every hole takes
+        # that region and index and keeps its own origin, wherever the
+        # consumer holds it: an environment's binding, a frame's evaluated
+        # child, the focus's arguments
+        def hole(origin, iv="iv%0"):
+            return S.ConcreteLocVal(ConcreteLoc("r", Ivar(iv), origin))
+        body = S.PrimOp("+", S.Var("x"), S.PrimOp("*", hole("lb"), hole("lc", "iv%1")))
+        st = SeqState(Store(), {}, S.Let("x", S.INT, hole("la"), body))
+        st.refocus(body, st.env.bind(vars={"x": st.args[0]}))  # D-Let-Val
+        (node, env, vals), = st.frames
+        copy = st.copy()
+        to = ConcreteLoc("r2", Indirection("r3", 4), "lp")
+        P._resolve_ivar(st, "iv%0", to)
+        got = ConcreteLoc("r2", Indirection("r3", 4), "la")
+        assert st.frames[0][1].vars["x"].loc == st.frames[0][2][0].loc == got
+        assert st.args[0].loc == ConcreteLoc("r2", Indirection("r3", 4), "lb")
+        assert st.args[1] == hole("lc", "iv%1")
+        # environments are shared, never changed: the copy keeps the ivar
+        assert env.vars["x"] == copy.frames[0][1].vars["x"] == hole("la")
+        assert copy.args == (hole("lb"), hole("lc", "iv%1"))
+        P._resolve_ivar(st, "iv%1", ConcreteLoc("q", Concrete(7)))
+        assert st.args[1].loc == ConcreteLoc("q", Concrete(7), "lc")
 
 
 class TestSpawnRedex:

@@ -1,5 +1,7 @@
 """Sequential evaluator: golden heaps, rule traces, end tracking."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import GOOD_EXAMPLES, bench_source
@@ -120,20 +122,64 @@ main = (g [l@r] 3)
         with pytest.raises(Exception):
             run_seq(typecheck_program(prog))
 
+    def test_unbound_variable_is_stuck(self):
+        # a lookup is not a step: the unbound variable becomes the focus,
+        # and the step from it is stuck
+        prog = S.parse_program("data D = MkD Int\n\nmain = (1 + (x * 2))\n")
+        tp = SimpleNamespace(program=prog, decls=prog.decls())
+        with pytest.raises(SemanticsError, match="Stuck: free variable x"):
+            run_seq(tp)
 
-HOLE = S.Var("[]")
 
+class TestEnvironments:
+    def test_shadowing_binder_hides_the_outer_binding(self):
+        # the inner let's variable stands for its own value in its body
+        # only, and the outer binding is back after it
+        src = ("data D = MkD Int\n\nmain = let x : Int = 9 in "
+               "((let x : Int = 1 in (x + 10)) + x)\n")
+        assert run_seq(typecheck_program(S.parse_program(src))).value \
+            == S.IntLit(20)
 
-def decomposition(st):
-    """The focus and the frames, each frame's stale hole masked."""
-    return st.focus, [(E._plug(node, k, HOLE), k) for node, k in st.frames]
+    def test_a_call_rebuilds_no_code(self, monkeypatch):
+        # the machine runs the program's own terms under environments, so
+        # no call, fork or join builds a binding or case node
+        spine = typecheck_program(S.parse_program(bench_source("spine", 200)))
+        tree = typecheck_program(S.parse_program(bench_source("buildtree", 5)))
+        built = [0]
+        for cls in (S.LetLoc, S.LetRegion, S.Case):
+            init = cls.__init__
+
+            def counted(self, *args, init=init, **kwargs):
+                built[0] += 1
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        assert run_seq(spine).metrics["steps"] > 1_000
+        assert P.run_par(tree, P.always_fork()).metrics["forks"] == 31
+        assert built[0] == 0
+        S.LetRegion("r", S.IntLit(0))
+        assert built[0] == 1  # the count sees the node classes
 
 
 def assert_decomposed(st):
-    assert E._open_hole(st.focus) is None
-    assert not (st.frames and S.is_value(st.focus))
-    assert decomposition(SeqState(st.store, st.locmap, st.expr)) \
-        == decomposition(st)
+    """Descending again from the focus and from every frame stops where the
+    state did.  A value focus has no frames.  Each frame's hole is at its
+    first child left unevaluated, which is not a value under the frame's
+    environment, and the focus's children are all evaluated.  An evaluated
+    child that is a literal or a bound variable evaluated to that value."""
+    if S.is_value(st.focus):
+        assert st.frames == [] and st.args == ()
+        return
+    frames = st.frames + [(st.focus, st.env, st.args)]
+    for n, (node, env, vals) in enumerate(frames):
+        kids = E._EVAL_CHILDREN.get(type(node), lambda e: ())(node)
+        hole = kids[len(vals):len(vals) + 1]
+        if n + 1 == len(frames):
+            assert hole == ()
+        else:
+            assert len(hole) == 1 and E._value(hole[0], env) is None
+        for c, v in zip(kids, vals):
+            assert E._value(c, env) in (None, v)
 
 
 def count_calls(monkeypatch, module, name, when=lambda *a: True):
