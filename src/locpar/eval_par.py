@@ -25,10 +25,11 @@ explorer still visits and checks every reachable state, but skips the
 transitions that commute into states it has already visited (sleep sets):
 actions of different tasks commute unless one is a join or both are forks,
 because tasks own private stores and the canonical hash renames fresh names
-by first appearance.  The hash prints each task's frames and focus under
-their environments as its whole expression would print, from templates of
-the program's nodes that the task set keeps; it builds no node and keeps
-its own stacks, so any depth can be hashed.
+by first appearance.  The hash reads the machine's state as it is: each
+frame and the focus as the program node it runs (copies share the code),
+its evaluated children and its environment's bindings, then each task's
+target, store and location map.  It walks them in one loop, so any depth
+can be hashed.
 """
 
 from __future__ import annotations
@@ -74,9 +75,6 @@ class TaskSet:
     # ivar, so that every other waiter on it can join it too
     joined: dict[str, Task] = dcfield(default_factory=dict)
     holders: dict[str, int] = dcfield(default_factory=dict)  # ivar -> live tasks holding it
-    # (node id, evaluated children, has a hole) -> (node, template): the
-    # canonical hash's printing of the program's nodes, which copies share
-    templates: dict = dcfield(default_factory=dict, repr=False, compare=False)
 
     def ordered(self) -> list[Task]:
         return [self.tasks[k] for k in sorted(self.tasks)]
@@ -94,7 +92,7 @@ class TaskSet:
         return TaskSet({k: t.copy() for k, t in self.tasks.items()},
                        dict(self.registry), self.next_tid,
                        {iv: t.copy() for iv, t in self.joined.items()},
-                       dict(self.holders), self.templates)
+                       dict(self.holders))
 
     def hold(self, ivars, by: int) -> None:
         """Count `by` more (or fewer) live holders of each of `ivars`."""
@@ -715,9 +713,10 @@ def _independent(a: Action, b: Action) -> bool:
 
     Only actions of different tasks, neither a join and not both forks,
     count as independent:
-    - tasks own private stores, and `canonical_hash` renames fresh names by
-      first appearance, so steps (and a step and a fork) of different tasks
-      reach the same state in either order;
+    - tasks own private stores, and `canonical_hash` renames fresh names
+      (and call name bases) by first appearance, so steps (and a step and
+      a fork) of different tasks reach the same state in either order,
+      whichever numbers the name supply hands out first;
     - two forks decide which child gets which `next_tid`, and they share
       the fork bound;
     - a join moves a producer out of the live tasks and rewrites the
@@ -735,10 +734,12 @@ def enumerate_schedules(tp, bound: int, state_cap: int = 200_000,
     """Depth-first enumeration of every interleaving and fork decision.
 
     Forks beyond `bound` are pruned (the fork action is simply not offered).
-    States are deduplicated by a canonical hash that renames fresh regions,
-    ivars, and locations by first appearance.  Every reachable state is
-    visited, passed to `wf_callback` once, and counted against `state_cap`;
-    a Terminal is yielded per distinct final configuration reached.
+    States are deduplicated by `canonical_hash`, which reads each task's
+    frames, focus, target, store and location map, and renames fresh
+    regions, ivars, locations and call name bases by first appearance.
+    Every reachable state is visited, passed to `wf_callback` once, and
+    counted against `state_cap`; a Terminal is yielded per distinct final
+    configuration reached.
 
     Transitions that can only lead back to a visited state are skipped with
     sleep sets (Godefroid 1996).  Actions of different tasks are independent
@@ -791,248 +792,84 @@ def enumerate_schedules(tp, bound: int, state_cap: int = 200_000,
 
 
 ### canonical hashing
-#
-# A state prints as its whole expression, the focus plugged into every frame
-# and every name bound, would print recursively, and fresh names are renamed
-# by first appearance, in the order that printer reaches them (a case's
-# branches before its scrutinee, a letloc's location expression before its
-# binder).  Each frame's node, and the focus, prints from a template made
-# once per node, child and task set: the node's text with a slot for each
-# name, and the slots in naming order.
-
-def _template(e, k: int, hole: bool, binders: dict[int, int] | None):
-    """The template of node `e` whose first k children in evaluation
-    position are values, and the next, if `hole`, a frame's hole: its
-    chunks, with "" in each slot, and its slots as (position, kind, name,
-    binder number or value) in naming order.  Kinds: 'b' a binder of the
-    code, named from its number; 'v', 'l', 'r' a variable, location or
-    region that the environment resolves; 'a' the j-th evaluated child;
-    'h' the hole.  The walk keeps its own stack: text, (code, scope),
-    (None, j) for e's child j, and a case's scrutinee between the list that
-    takes its text and None.  A scope maps the code's bound variables,
-    locations and regions to their binders."""
-    out: list = []
-    outs: list[list] = []
-    named: list[tuple] = []
-
-    def binder(node, x: str, offset: int = 0) -> tuple:
-        if binders is None:  # main's binders keep their names
-            return put(("b", x, None))
-        return put(("b", x.split("%", 1)[0], binders[id(node)] + offset))
-
-    def put(slot: tuple) -> tuple:
-        named.append(slot)
-        return slot
-
-    def ref(kind: str, x: str, sc) -> tuple:
-        bound = sc["vlr".index(kind)].get(x)
-        return put(("b", *bound) if bound else (kind, x, None))
-
-    def bind(sc, kind: str, b: tuple):
-        i = "vlr".index(kind)
-        return tuple({**d, b[1]: b[1:]} if n == i else d for n, d in enumerate(sc))
-
-    def ty(t: S.Type, sc) -> list:
-        if not isinstance(t, S.PackedType):
-            return ["Int"]
-        return [t.tycon + "@", ref("l", t.loc, sc), "@", ref("r", t.region, sc)]
-
-    def kid(node, j: int, c, sc) -> tuple:
-        """The stack item for child j of `node`: e's are values or the hole."""
-        return (c, sc) if node is not e or j > k or j == k and not hole else (None, j)
-
-    todo: list = [(e, ({}, {}, {}))]
-    while todo:
-        item = todo.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        if type(item) is list:
-            outs.append(out)
-            out = item
-            continue
-        if item is None:
-            out = outs.pop()
-            continue
-        c, sc = item
-        if c is None:
-            out.append(put(("a" if sc < k else "h", None, sc)))
-        elif isinstance(c, S.Var):
-            out.append(ref("v", c.name, sc))
-        elif isinstance(c, S.IntLit):
-            out.append(str(c.value))
-        elif isinstance(c, S.Let):
-            b = binder(c, c.var)
-            out += ["let! " if c.spawn else "let ", b, ":", *ty(c.ty, sc), "="]
-            todo += [(c.body, bind(sc, "v", b)), ";", kid(c, 0, c.bound, sc)]
-        elif isinstance(c, S.LetLoc):
-            le = c.locexpr
-            if isinstance(le, S.StartOfRegion):
-                les = ["start ", ref("r", le.region, sc)]
-            elif isinstance(le, S.AfterTag):
-                les = [ref("l", le.loc, sc), "+1"]
-            else:
-                les = ["after ", *ty(le.ty, sc)]
-            b = binder(c, c.loc)
-            out += ["letloc ", b, "@", ref("r", c.region, sc), "=", *les, ";"]
-            todo.append((c.body, bind(sc, "l", b)))
-        elif isinstance(c, S.LetRegion):
-            b = binder(c, c.region)
-            out += ["letreg ", b, ";"]
-            todo.append((c.body, bind(sc, "r", b)))
-        elif isinstance(c, S.Case):  # its branches are named before its scrutinee
-            scrut: list = []
-            out += ["case ", scrut, "{"]
-            todo += [None, kid(c, 0, c.scrut, sc), scrut, "}",
-                     *[x for b in reversed(c.branches) for x in ((b, sc), ";")][:-1]]
-        elif isinstance(c, S.ConBranch):
-            pats, bsc, n = [], sc, 0
-            for x, t in c.fields:
-                b = binder(c, x, n)
-                bsc = bind(bsc, "v", b)
-                pats += [",", b, ":"]
-                if isinstance(t, S.PackedType):
-                    bl = binder(c, t.loc, n + 1)
-                    bsc = bind(bsc, "l", bl)
-                    pats += [t.tycon + "@", bl, "@", ref("r", t.region, sc)]
-                else:
-                    pats.append("Int")
-                n += 1 + isinstance(t, S.PackedType)
-            out += [c.tag + "(", *pats[1:], ")->"]
-            todo.append((c.body, bsc))
-        elif isinstance(c, (S.IntBranch, S.DefaultBranch)):
-            out.append(f"{c.value}->" if isinstance(c, S.IntBranch) else "_->")
-            todo.append((c.body, sc))
-        elif isinstance(c, S.PrimOp):
-            out.append("(")
-            todo += [")", kid(c, 1, c.rhs, sc), c.op, kid(c, 0, c.lhs, sc)]
-        elif isinstance(c, (S.App, S.DataCon)):
-            if isinstance(c, S.App):
-                out.append(c.func + "[")
-                for n, (l, r) in enumerate(c.locargs):
-                    out += ["," if n else "", ref("l", l, sc), "@", ref("r", r, sc)]
-                out.append("](")
-                kids = c.args
-            else:
-                out += [c.tag + "@", ref("l", c.loc, sc), "@", ref("r", c.region, sc), "("]
-                kids = c.fields
-            items = [x for j, a in enumerate(kids) for x in (",", kid(c, j, a, sc))]
-            todo += [")", *reversed(items[1:])]
-        else:
-            out.append(repr(c))
-    # splice the scrutinees' text in, and find where each slot is
-    flat: list = []
-    stack = [iter(out)]
-    while stack:
-        for x in stack[-1]:
-            if type(x) is list:
-                stack.append(iter(x))
-                break
-            flat.append(x)
-        else:
-            stack.pop()
-    at = {id(x): i for i, x in enumerate(flat) if type(x) is tuple}
-    return [x if type(x) is str else "" for x in flat], [(at[id(x)], *x) for x in named]
-
 
 def canonical_hash(ts: TaskSet) -> int:
-    renames: dict[str, str] = {}
+    """The hash of the machine's state, read from the state itself: every
+    live task in tid order, then every joined producer, each as its frames
+    and focus, its target, its store and its location map.  A frame (and
+    the focus) is its node of the program, which copies share, its
+    evaluated children and its environment.  Every fresh name, and each
+    call's name base, is renamed by its first appearance, so states that
+    differ only in how the name supply numbered them hash alike."""
+    renames: dict = {}
+    out: list = []
+    add = out.extend
 
-    def name(x: str | None) -> str:
-        if x is None:
-            return "·"
-        if "%" not in x:
-            return x
-        if x not in renames:
-            renames[x] = f"#{len(renames)}"
-        return renames[x]
+    def name(x):
+        if x is None or type(x) is str and "%" not in x:
+            return x  # no name, or a name of main's code
+        r = renames.get(x)
+        if r is None:
+            r = renames[x] = f"%{len(renames)}"
+        return r
 
-    parts: list[str] = []
-
-    def cl_repr(cl: ConcreteLoc | None) -> str:
+    def loc(cl: ConcreteLoc | None):
         if cl is None:
-            return "·"
+            return None
         ext = cl.ext
-        if isinstance(ext, Concrete):
-            es = str(ext.index)
-        elif isinstance(ext, Ivar):
-            es = "iv:" + name(ext.name)
+        if type(ext) is Concrete:
+            e = ext.index
+        elif type(ext) is Ivar:
+            e = (name(ext.name),)
         else:
-            es = f"ind:{name(ext.region)}:{ext.index}"
-        return f"{name(cl.region)}|{es}|{name(cl.origin)}"
+            e = (name(ext.region), ext.index)
+        return name(cl.region), e, name(cl.origin)
 
-    def val_repr(v: S.Expr) -> str:
-        return str(v.value) if isinstance(v, S.IntLit) else f"<{cl_repr(v.loc)}>"
+    def num(n: int):
+        return n if n != -1 else "-1"  # hash(-1) == hash(-2)
 
-    def fill(level: list) -> int | None:
-        """Fill a level's slots in order, up to its hole; the hole's
-        position, or None once every slot is filled."""
-        chunks, slots, env, vals = level
-        for at, kind, x, j in slots:
-            if kind == "b":  # a binder: base%(n0 + its number), in main x
-                chunks[at] = name(x if j is None else f"{x}%{env.n0 + j}")
-            elif kind == "v":
-                v = env.vars.get(x)
-                chunks[at] = name(x) if v is None else val_repr(v)
-            elif kind == "l" or kind == "r":
-                chunks[at] = name(env.loc(x) if kind == "l" else env.reg(x))
-            elif kind == "h":
-                return at
-            else:
-                chunks[at] = val_repr(vals[j])
-        return None
+    def val(v: S.Expr):
+        return num(v.value) if type(v) is S.IntLit else loc(v.loc)
 
-    def expr_repr(st: SeqState) -> str:
-        """The text of frame after frame down to the focus, from their
-        templates, each frame's text waiting at its hole for the next's."""
-        open_levels = []
-        for i in range(len(st.frames) + 1):
-            e, env, vals = st.frames[i] if i < len(st.frames) \
-                else (st.focus, st.env, st.args)
-            if S.is_value(e):
-                text = val_repr(e)
+    def task(t: Task) -> None:
+        st = t.state
+        out.append(len(st.frames))
+        for node, env, vals in (*st.frames, (st.focus, st.env, st.args)):
+            if S.is_value(node):  # a finished task's focus
+                add((None, val(node)))
                 break
-            key = (id(e), len(vals), i < len(st.frames))
-            hit = ts.templates.get(key)
-            if hit is None or hit[0] is not e:
-                hit = ts.templates[key] = (e, _template(e, *key[1:], env.binders))
-            level = [list(hit[1][0]), iter(hit[1][1]), env, vals]
-            hole = fill(level)
-            if hole is None:
-                text = "".join(level[0])
-                break
-            open_levels.append((level, hole))
-        for level, hole in reversed(open_levels):
-            level[0][hole] = text
-            fill(level)
-            text = "".join(level[0])
-        return text
-
-    def hv_repr(hv) -> str:
-        if isinstance(hv, Tag):
-            return hv.name
-        if isinstance(hv, Scalar):
-            return str(hv.value)
-        return f"→{name(hv.region)}:{hv.index}"
-
-    def append_task(task: Task) -> None:
-        st = task.state
-        parts.append(f"T{expr_repr(st)}")
-        parts.append("G" + cl_repr(task.target))
-        for r in st.store.regions:
-            heap = st.store.regions[r]
-            cells = ",".join(f"{i}:{hv_repr(heap[i])}" for i in sorted(heap))
-            parts.append(f"R{name(r)}[{cells}]")
+            add((id(node), len(vals), *map(val, vals), len(env.vars)))
+            for x in sorted(env.vars):
+                add((x, val(env.vars[x])))
+            for names in (env.locs, env.regs):
+                out.append(len(names))
+                for x in sorted(names):
+                    add((x, name(names[x])))
+            out.append(name(env.n0))
+        out.append(loc(t.target))
+        out.append(len(st.store.regions))
+        for r, heap in st.store.regions.items():
+            add((name(r), len(heap)))
+            for i in sorted(heap):
+                hv = heap[i]
+                if type(hv) is Tag:
+                    add((i, hv.name))
+                elif type(hv) is Scalar:
+                    add((i, num(hv.value)))
+                else:
+                    add((i, (name(hv.region), hv.index)))
+        out.append(len(st.locmap))
         for l in sorted(st.locmap, key=name):
-            parts.append(f"M{name(l)}={cl_repr(st.locmap[l])}")
+            add((name(l), loc(st.locmap[l])))
 
-    for task in ts.ordered():
-        append_task(task)
+    out.append(len(ts.tasks))
+    for t in ts.ordered():
+        task(t)
     # a live task holds every joined ivar, so each already has its name
     for iv in sorted(ts.joined, key=name):
-        parts.append(f"J{name(iv)}")
-        append_task(ts.joined[iv])
-    return hash("\n".join(parts))
+        out.append(name(iv))
+        task(ts.joined[iv])
+    return hash(tuple(out))
 
 
 ### real-threads mode

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import GOOD_EXAMPLES, bench_source
 from locpar import eval_par as P
 from locpar import syntax as S
-from locpar.eval_seq import (SemanticsError, SeqState, Stepped, blocked_on,
+from locpar.eval_seq import (Env, SemanticsError, SeqState, Stepped, blocked_on,
                              run_seq, step_seq, verify_frontier_notes)
 from locpar.store import (Concrete, ConcreteLoc, Indirection, IndirectionCell,
                           Ivar, Scalar, Store, Tag)
@@ -146,19 +146,28 @@ class TestEnumeration:
         m.apply(m.enabled()[0])
         assert P.canonical_hash(m.ts) != h0
 
-    def test_canonical_hash_of_a_deep_chain(self, monkeypatch,
-                                            default_recursion_limit):
-        # the printer keeps its own stack: a focus under 10,000 frames
-        # prints under the default recursion limit
+    def test_canonical_hash_of_a_deep_chain(self, default_recursion_limit):
+        # the hash keeps no recursion: a focus under 10,000 frames hashes
+        # under the default recursion limit, and its innermost literal counts
         e = S.IntLit(1)
         for _ in range(10_000):
             e = S.PrimOp("+", e, S.IntLit(1))
         ts = P.TaskSet({0: P.Task(0, None, None, SeqState(Store(), {}, e))})
-        assert len(ts.root().state.frames) == 9_999
-        texts = []
-        monkeypatch.setattr(P, "hash", texts.append, raising=False)
-        P.canonical_hash(ts)
-        assert texts == ["T" + "(" * 10_000 + "1+1)" + "+1)" * 9_999 + "\nG·"]
+        st = ts.root().state
+        assert len(st.frames) == 9_999
+        assert st.args == (S.IntLit(1), S.IntLit(1))
+        other = ts.copy()
+        assert P.canonical_hash(other) == P.canonical_hash(ts)
+        other.root().state.args = (S.IntLit(2), S.IntLit(1))
+        assert P.canonical_hash(other) != P.canonical_hash(ts)
+
+    def test_canonical_hash_tells_minus_one_from_minus_two(self):
+        # Python hashes the integers -1 and -2 alike
+        def finished(v):
+            return P.TaskSet({0: P.Task(0, None, None,
+                                        SeqState(Store(), {}, S.IntLit(v)))})
+
+        assert P.canonical_hash(finished(-1)) != P.canonical_hash(finished(-2))
 
     def test_canonical_hash_ignores_fresh_name_counters(self, load_program):
         # two machines whose fresh-name counters start at different offsets
@@ -171,6 +180,119 @@ class TestEnumeration:
             a.apply(a.enabled()[0])
             b.apply(b.enabled()[0])
         assert P.canonical_hash(a.ts) == P.canonical_hash(b.ts)
+
+
+def buildtree_mid_run():
+    """Always-fork buildtree-2 after 30 actions: four live tasks, two
+    leaf cells in the root's store, and two continuation regions."""
+    m = P.Machine(bench_program("buildtree", 2))
+    for _ in range(30):
+        m.apply(P.choose_action(P.always_fork(), m.enabled(), 0))
+    return m
+
+
+def renamed_region(m, old, new):
+    """A copy of `m` with region `old` called `new` in every task's store,
+    location map, target, values and environments."""
+    def name(r):
+        return new if r == old else r
+
+    def loc(cl):
+        if cl is None:
+            return None
+        ext = cl.ext
+        if isinstance(ext, Indirection):
+            ext = Indirection(name(ext.region), ext.index)
+        return ConcreteLoc(name(cl.region), ext, cl.origin)
+
+    def val(v):
+        return S.ConcreteLocVal(loc(v.loc)) if isinstance(v, S.ConcreteLocVal) else v
+
+    def env(e):
+        return Env({x: val(v) for x, v in e.vars.items()}, e.locs,
+                   {x: name(r) for x, r in e.regs.items()}, e.n0, e.binders)
+
+    c = m.copy()
+    for task in c.ts.tasks.values():
+        st = task.state
+        task.target = loc(task.target)
+        st.store = Store({name(r): {i: IndirectionCell(name(hv.region), hv.index)
+                                    if isinstance(hv, IndirectionCell) else hv
+                                    for i, hv in heap.items()}
+                          for r, heap in st.store.regions.items()})
+        st.locmap = {l: loc(cl) for l, cl in st.locmap.items()}
+        st.frames = [(node, env(e), tuple(map(val, vals)))
+                     for node, e, vals in st.frames]
+        st.focus, st.env, st.args = val(st.focus), env(st.env), tuple(map(val, st.args))
+    return c
+
+
+class TestCanonicalHashCoverage:
+    """Every part of a task's state that decides its future changes the
+    hash; a consistent renaming of a fresh name does not."""
+
+    @pytest.fixture(scope="class")
+    def m(self):
+        m = buildtree_mid_run()
+        assert len(m.ts.tasks) == 4 and not m.ts.joined
+        return m
+
+    def edited(self, m, edit):
+        c = m.copy()
+        edit(c.ts.tasks)
+        return P.canonical_hash(c.ts)
+
+    def test_a_store_cell(self, m):
+        assert m.ts.tasks[0].state.store.regions["r%12"] == \
+            {0: Tag("Leaf"), 1: Scalar(31)}
+
+        def edit(tasks):
+            store = tasks[0].state.store
+            store.regions["r%12"] = {0: Tag("Leaf"), 1: Scalar(32)}
+        assert self.edited(m, edit) != P.canonical_hash(m.ts)
+
+    def test_a_location_map_entry(self, m):
+        assert m.ts.tasks[0].state.locmap["l"] == ConcreteLoc("r%0", Concrete(0), "l")
+
+        def edit(tasks):
+            tasks[0].state.locmap["l"] = ConcreteLoc("r%0", Concrete(1), "l")
+        assert self.edited(m, edit) != P.canonical_hash(m.ts)
+
+    def test_a_target(self, m):
+        assert m.ts.tasks[2].target == ConcreteLoc("r%6", Ivar("iv%11"), "la%7")
+
+        def edit(tasks):
+            tasks[2].target = ConcreteLoc("r%0", Ivar("iv%11"), "la%7")
+        assert self.edited(m, edit) != P.canonical_hash(m.ts)
+
+    def test_a_frames_evaluated_child(self, m):
+        node, env, vals = m.ts.tasks[1].state.frames[1]
+        assert isinstance(node, S.App) and vals == (S.IntLit(0),)
+
+        def edit(tasks):
+            tasks[1].state.frames[1] = (node, env, (S.IntLit(1),))
+        assert self.edited(m, edit) != P.canonical_hash(m.ts)
+
+    def test_a_binding_the_frames_code_reads(self, m):
+        # the frame's call still has to evaluate its argument (2 * k)
+        node, env, vals = m.ts.tasks[2].state.frames[0]
+        assert isinstance(node, S.App) and vals == ()
+        assert env.vars["k"] == S.IntLit(15)
+
+        def edit(tasks):
+            tasks[2].state.frames[0] = (node, env.bind(vars={"k": S.IntLit(16)}), vals)
+        assert self.edited(m, edit) != P.canonical_hash(m.ts)
+
+    def test_a_consistently_renamed_region(self, m):
+        # r%6 is in two tasks' stores and location maps, in a target, and
+        # in a value that the root's frames and environments hold
+        st = m.ts.tasks[0].state
+        assert "r%6" in st.store.regions and "r%6" in m.ts.tasks[2].state.store.regions
+        assert st.env.vars["left"].loc.region == st.args[0].loc.region == "r%6"
+        c = renamed_region(m, "r%6", "r%99")
+        assert c.ts.tasks[2].target.region == "r%99"
+        assert c.ts.tasks[0].state.env.vars["left"].loc.region == "r%99"
+        assert P.canonical_hash(c.ts) == P.canonical_hash(m.ts)
 
 
 # Two tasks wait on one ivar: main cases on t while the spawned copy reads t.

@@ -4,16 +4,18 @@ digest, the records pinned in `identity.json`.
 A run record is the value, the store's cells and the location map (both
 sorted), the metrics with their decisions, the rule list, and the final
 state's frontier notes, sigma, nursery, constraints and allocation sites.
-An explored (program, bound) records the canonical-hash texts of its states
-in first-visit order and its terminals' decision lists.
+An explored (program, bound) records its state and terminal counts, the
+decision list that first reaches each visited state, in visit order, and
+its terminals' decision lists.
 
-`python tests/test_identity.py` rewrites `identity.json` from this tree.
+`python tests/test_identity.py` rewrites `identity.json` from this tree,
+and prints every pinned key whose digest changed.
 """
 
-import builtins
 import hashlib
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -36,11 +38,13 @@ TEMPLATES = [("spine", 20), ("buildtree", 3), ("sumtree", 3), ("add1tree", 3)]
 INLINE = {"two-waiters": TWO_WAITERS, "spawn-under-operand": SPAWN_UNDER_OPERAND}
 SCHEDULES = ["never", "always"] + [f"random:{k}" for k in range(5)]
 # (program, fork bound): criterion 4's programs, the sleep-set tests' and
-# the explore workload's
+# the explore workload's; buildtree-2@2 revisits states with sleep sets
+# that differ, and sumtree-3@2 never forks
 EXPLORED = [("constfold.lcp", 3), ("constfold-deep.lcp", 3), ("interp.lcp", 3),
             ("add1tree.lcp", 1), ("copytree.lcp", 1), ("mirror.lcp", 1),
             ("buildtree-2", 1), ("add1tree-2", 1), ("add1tree-1", 2),
-            ("sumtree-2", 1), ("two-waiters", 2)]
+            ("sumtree-2", 1), ("two-waiters", 2), ("buildtree-2", 2),
+            ("sumtree-3", 2)]
 
 
 def _program(name: str):
@@ -85,21 +89,39 @@ def run_digest(res) -> str:
 
 
 def explore_digest(tp, bound: int, monkeypatch) -> dict:
-    """The canonical-hash texts of the visited states, in first-visit order,
-    and the terminals' decision lists, each as a sha256."""
-    texts: list[str] = []
-    visits: list[str] = []
+    """The decision lists that first reach the visited states, in visit
+    order, and the terminals' decision lists, each as a sha256.  The
+    callback gets a task set; every machine is registered under its task
+    set when it is made, so the callback can read the machine's decisions."""
+    machines = weakref.WeakValueDictionary()  # id(task set) -> its machine
+    init, copy = P.Machine.__init__, P.Machine.copy
 
-    def hash_text(text):
-        texts.append(text)
-        return builtins.hash(text)
+    def registered_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        machines[id(self.ts)] = self
 
-    monkeypatch.setattr(P, "hash", hash_text, raising=False)
-    terms = list(P.enumerate_schedules(
-        tp, bound, wf_callback=lambda ctx, ts: visits.append(texts[-1])))
-    monkeypatch.undo()
-    return {"states": len(visits), "terminals": len(terms),
-            "texts": _sha(visits), "decisions": _sha([t.decisions for t in terms])}
+    def registered_copy(self):
+        m = copy(self)
+        machines[id(m.ts)] = m
+        return m
+
+    first = hashlib.sha256()
+    states = 0
+
+    def visit(ctx, ts):
+        nonlocal states
+        states += 1
+        first.update(repr(machines[id(ts)].decisions).encode() + b"\n")
+
+    monkeypatch.setattr(P.Machine, "__init__", registered_init)
+    monkeypatch.setattr(P.Machine, "copy", registered_copy)
+    try:
+        terms = list(P.enumerate_schedules(tp, bound, wf_callback=visit))
+    finally:
+        monkeypatch.undo()
+    return {"states": states, "terminals": len(terms),
+            "first": first.hexdigest(),
+            "decisions": _sha([t.decisions for t in terms])}
 
 
 def run_keys():
@@ -151,7 +173,33 @@ def test_pins_every_record(pinned):
     assert set(pinned["explored"]) == {f"{n}@{b}" for n, b in EXPLORED}
 
 
+def _counts(rec: dict | None) -> str:
+    if rec is None:
+        return "unpinned"
+    return f"{rec['states']} states, {rec['terminals']} terminals"
+
+
+def changed_keys(old: dict, new: dict) -> list[str]:
+    """One line per pinned key whose digest differs, with an exploration's
+    old and new state and terminal counts."""
+    lines = []
+    for kind in ("runs", "explored"):
+        was, now = old.get(kind, {}), new[kind]
+        for key in sorted(set(was) | set(now)):
+            if was.get(key) == now.get(key):
+                continue
+            if kind == "runs":
+                lines.append(f"runs {key}")
+            else:
+                lines.append(f"explored {key}: {_counts(was.get(key))} -> "
+                             f"{_counts(now.get(key))}")
+    return lines
+
+
 if __name__ == "__main__":
-    mp = pytest.MonkeyPatch()
-    PINNED.write_text(json.dumps(record_all(mp), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {PINNED}")
+    old = json.loads(PINNED.read_text()) if PINNED.exists() else {}
+    new = record_all(pytest.MonkeyPatch())
+    PINNED.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    lines = changed_keys(old, new)
+    print("\n".join(lines))
+    print(f"wrote {PINNED}: {len(lines)} pinned keys changed")
