@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 static (parse/type) error, 2 semantics violation
 (stuck state, well-formedness failure, merge conflict) or resource exhaustion
-(recursion limit or memory: `ResourceExhausted`), 3 usage error.
+(recursion limit, memory or the explorer's state cap: `ResourceExhausted`),
+3 usage error.
 Diagnostics go to standard error as JSON lines.
 """
 
@@ -158,21 +159,10 @@ def _cmd_explore(args, tp) -> int:
         if isinstance(v, S.IntLit):
             flats.add(("int", v.value))
         else:
-            flats.add(("tree", L.flatten_value(v.loc, _main_tycon(tp),
+            flats.add(("tree", L.flatten_value(v.loc, tp.main_type.tycon,
                                                term.store, tp.decls)))
     print(json.dumps({"terminals": terminals, "distinct_values": len(flats)}))
     return 0 if len(flats) <= 1 else 2
-
-
-def _main_tycon(tp) -> str:
-    e = tp.program.main
-    while isinstance(e, (S.LetRegion, S.LetLoc, S.Let)):
-        e = e.body
-    if isinstance(e, S.App):
-        return tp.program.fundecl(e.func).ret.tycon
-    if isinstance(e, S.DataCon):
-        return tp.decls.tycon_of(e.tag)
-    raise ValueError("cannot infer the main expression's result type")
 
 
 def _cmd_bench(args) -> int:

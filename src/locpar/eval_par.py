@@ -269,7 +269,7 @@ def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
     ts.hold(holds - consumer.holds, 1)
     consumer.holds = holds
     if why == "datacon":
-        _join_link_fields(ctx, cst, iv)
+        _join_link_fields(ctx, cst)
     if ts.registry.get(iv) == prod.tid:
         del ts.tasks[prod.tid]
         del ts.registry[iv]
@@ -308,7 +308,7 @@ def _resolve_ivar(st: SeqState, iv: str, to: ConcreteLoc) -> None:
                  for node, fenv, vals in st.frames]
 
 
-def _join_link_fields(ctx: RunContext, cst: SeqState, iv: str) -> None:
+def _join_link_fields(ctx: RunContext, cst: SeqState) -> None:
     """After a constructor join, stitch each resolved field to its successor."""
     e, fields = cst.focus, cst.args
     if not isinstance(e, S.DataCon):
@@ -539,7 +539,7 @@ def check_wellformed(tts, ts: TaskSet, ctx: RunContext) -> list[str]:
                     v.append(f"{label}: materialized {l} incomplete: {err}")
         v.extend(_check_constraints(ctx, task, ends))
         v.extend(_check_allocation(ctx, task, ends))
-    v.extend(_check_region_exclusivity(ctx, ts))
+    v.extend(_check_region_exclusivity(ts))
     return v
 
 
@@ -671,11 +671,11 @@ def _check_allocation(ctx: RunContext, task: Task, ends: dict) -> list[str]:
     return v
 
 
-def _check_region_exclusivity(ctx: RunContext, ts: TaskSet) -> list[str]:
+def _check_region_exclusivity(ts: TaskSet) -> list[str]:
     claimed: dict[str, int] = {}
     v: list[str] = []
     for task in ts.ordered():
-        r = _pending_write_region(ctx, task)
+        r = _pending_write_region(task)
         if r is None:
             continue
         if r in claimed:
@@ -686,7 +686,7 @@ def _check_region_exclusivity(ctx: RunContext, ts: TaskSet) -> list[str]:
     return v
 
 
-def _pending_write_region(ctx: RunContext, task: Task) -> str | None:
+def _pending_write_region(task: Task) -> str | None:
     """The region a task's immediately enabled constructor write targets."""
     e = task.state.focus
     if not isinstance(e, S.DataCon) or blocked_on(task.state) is not None:
@@ -702,10 +702,6 @@ class Terminal:
     decisions: list[dict]
     value: S.Expr
     store: Store
-
-
-class BudgetExceeded(Exception):
-    pass
 
 
 def _independent(a: Action, b: Action) -> bool:
@@ -738,7 +734,8 @@ def enumerate_schedules(tp, bound: int, state_cap: int = 200_000,
     frames, focus, target, store and location map, and renames fresh
     regions, ivars, locations and call name bases by first appearance.
     Every reachable state is visited, passed to `wf_callback` once, and
-    counted against `state_cap`; a Terminal is yielded per distinct final
+    counted against `state_cap` (one more raises `SemanticsError` with code
+    `ResourceExhausted`); a Terminal is yielded per distinct final
     configuration reached.
 
     Transitions that can only lead back to a visited state are skipped with
@@ -770,7 +767,8 @@ def enumerate_schedules(tp, bound: int, state_cap: int = 200_000,
         if stored is None:
             seen[h] = sleep
             if len(seen) > state_cap:
-                raise BudgetExceeded(f"more than {state_cap} states")
+                raise SemanticsError("ResourceExhausted",
+                                     f"more than {state_cap} states")
             if wf_callback is not None:
                 wf_callback(m.ctx, m.ts)
             if not actions:

@@ -23,8 +23,8 @@ base and the binder's number (`syntax.number_binders`).
 decided beforehand, without side effects, by `blocked_on`, which looks only
 at the focus: the task machine calls it to tell a step from a wait on an
 ivar.  A state is copied only where two futures split: a forked child, a
-copy of the whole task machine (the explorer), a finished parallel run's
-result, and the before-image of a traced sequential step.
+copy of the whole task machine (the explorer) and a finished parallel run's
+result.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import syntax as S
 from .store import (Store, LocationMap, ConcreteLoc, Concrete, Ivar, Indirection,
                     Tag, Scalar, Decls, StoreError,
                     deref_location, deref_concrete, end_witness,
-                    fmt_cell, resolve_links, write_cell)
+                    resolve_links, write_cell)
 
 
 class SemanticsError(Exception):
@@ -508,47 +508,19 @@ class RunResult:
     rules: list[str]
 
 
-def run_seq(tp, opts: dict | None = None,
-            trace: list[str] | None = None) -> RunResult:
+def run_seq(tp) -> RunResult:
     """Drive the sequential machine from main to a value; never forks."""
     ctx = RunContext(tp)
     st = SeqState(Store(), {}, tp.program.main)
     rules: list[str] = []
     while True:
         # nothing forks, so no ivar exists and every state is unblocked
-        before = st.copy() if trace is not None else None
         res = step_seq(ctx, st)
         if isinstance(res, Value):
             return RunResult(res.value, st.store, st.locmap, ctx.metrics, st, rules)
         if isinstance(res, Stuck):
             raise SemanticsError("Stuck", res.reason)
         rules.append(res.rule)
-        if trace is not None:
-            trace.append(_trace_line(len(rules), res.rule, before, st))
-
-
-def _trace_line(n: int, rule: str, before: SeqState, after: SeqState) -> str:
-    deltas = []
-    for r, heap in after.store.regions.items():
-        old = before.store.regions.get(r)
-        if old is None:
-            deltas.append(f"+region {r}")
-            old = {}
-        for i in sorted(set(heap) - set(old)):
-            deltas.append(f"{r}[{i}]={fmt_cell(heap[i])}")
-    for l, cl in after.locmap.items():
-        if before.locmap.get(l) != cl:
-            deltas.append(f"{l}↦({cl.region},{_fmt_ext(cl)})")
-    suffix = f"  {' '.join(deltas)}" if deltas else ""
-    return f"step {n}: rule={rule}{suffix}"
-
-
-def _fmt_ext(cl: ConcreteLoc) -> str:
-    if isinstance(cl.ext, Concrete):
-        return str(cl.ext.index)
-    if isinstance(cl.ext, Ivar):
-        return f"ivar {cl.ext.name}"
-    return f"ind({cl.ext.region},{cl.ext.index})"
 
 
 def verify_frontier_notes(decls: Decls, st: SeqState) -> list[str]:

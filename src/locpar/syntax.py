@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .store import ConcreteLoc, Decls
+from .store import ConcreteLoc
 
 
 ### types
@@ -182,19 +182,6 @@ class Program:
     fundecls: tuple[FunDecl, ...]
     main: Expr
 
-    def decls(self) -> Decls:
-        cons: dict[str, tuple[str, list[str]]] = {}
-        for dd in self.datadecls:
-            for tag, ftys in dd.constructors:
-                cons[tag] = (dd.tycon, list(ftys))
-        return Decls(cons)
-
-    def fundecl(self, name: str) -> FunDecl:
-        for fd in self.fundecls:
-            if fd.name == name:
-                return fd
-        raise KeyError(name)
-
 
 ### errors
 
@@ -331,9 +318,7 @@ class _Parser:
                 raise self.err("expected 'data', 'fun' or 'main'")
         if main is None:
             raise self.err("program has no main")
-        p = Program(tuple(datadecls), tuple(fundecls), main)
-        _check_decls(p)
-        return p
+        return Program(tuple(datadecls), tuple(fundecls), main)
 
     def datadecl(self) -> DataDecl:
         self.expect("data")
@@ -552,58 +537,6 @@ class _Parser:
                 args.append(self.atom())
             return App(fname, tuple(locargs), tuple(args))
         return self.expr()
-
-
-def _check_decls(p: Program) -> None:
-    """Name hygiene over declarations; reported as syntax-level errors."""
-    tycons: set[str] = set()
-    tags: dict[str, str] = {}
-    for dd in p.datadecls:
-        if dd.tycon in tycons:
-            raise SyntaxErrorLC(f"duplicate datatype {dd.tycon}", 0, 0)
-        tycons.add(dd.tycon)
-        for tag, _ in dd.constructors:
-            if tag in tags:
-                raise SyntaxErrorLC(f"duplicate constructor {tag}", 0, 0)
-            tags[tag] = dd.tycon
-    for dd in p.datadecls:
-        for tag, ftys in dd.constructors:
-            for fty in ftys:
-                if fty != "Int" and fty not in tycons:
-                    raise SyntaxErrorLC(f"unknown type {fty} in constructor {tag}", 0, 0)
-    fnames: set[str] = set()
-    for fd in p.fundecls:
-        if fd.name in fnames:
-            raise SyntaxErrorLC(f"duplicate function {fd.name}", 0, 0)
-        fnames.add(fd.name)
-
-    def walk(e: Expr) -> None:
-        if isinstance(e, DataCon):
-            if e.tag not in tags:
-                raise SyntaxErrorLC(f"unknown constructor {e.tag}", 0, 0)
-            for f in e.fields:
-                walk(f)
-        elif isinstance(e, Case):
-            walk(e.scrut)
-            for b in e.branches:
-                if isinstance(b, ConBranch) and b.tag not in tags:
-                    raise SyntaxErrorLC(f"unknown constructor {b.tag}", 0, 0)
-                walk(b.body)
-        elif isinstance(e, PrimOp):
-            walk(e.lhs)
-            walk(e.rhs)
-        elif isinstance(e, App):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, Let):
-            walk(e.bound)
-            walk(e.body)
-        elif isinstance(e, (LetLoc, LetRegion)):
-            walk(e.body)
-
-    for fd in p.fundecls:
-        walk(fd.body)
-    walk(p.main)
 
 
 def parse_program(text: str) -> Program:

@@ -6,6 +6,9 @@ the nursery N (locations allocated by letloc but not yet written).  Writing a
 constructor or calling a function that writes its output location removes that
 location from N and materializes it in Sigma; write-once cells fall out of the
 requirement that every write target still be in N.
+
+`typecheck_program` is the only static pass: it also builds the constructor
+and function tables, with their declaration checks, and records main's type.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ class LocTypeError(Exception):
     """A rejected program, tagged with an error class.
 
     codes: DoubleWrite, RegionAliasing, UnboundLocation,
-    FieldConstraintMismatch, ArityMismatch, TypeMismatch.
+    FieldConstraintMismatch, ArityMismatch, TypeMismatch.  The declaration
+    checks (a duplicate datatype, constructor or function, a field type that
+    names no datatype) use TypeMismatch, with no context.
     """
 
     def __init__(self, code: str, message: str, context: str = ""):
@@ -49,10 +54,14 @@ class TypeState:
                          self.allocsites, self.nursery)
 
 
+Funs = dict[str, S.FunDecl]
+
+
 @dataclass
 class TypedProgram:
     program: S.Program
     decls: Decls
+    main_type: S.Type
 
 
 ### helpers
@@ -67,7 +76,7 @@ def _is_int(ty: S.Type) -> bool:
 
 ### expression typing
 
-def _check(ts: TypeState, e: S.Expr, prog: S.Program, decls: Decls, ctx: str) -> S.Type:
+def _check(ts: TypeState, e: S.Expr, funs: Funs, decls: Decls, ctx: str) -> S.Type:
     if isinstance(e, S.IntLit):
         return S.INT
     if isinstance(e, S.Var):
@@ -76,17 +85,17 @@ def _check(ts: TypeState, e: S.Expr, prog: S.Program, decls: Decls, ctx: str) ->
         return ts.gamma[e.name]
     if isinstance(e, S.PrimOp):
         for side in (e.lhs, e.rhs):
-            t = _check(ts, side, prog, decls, ctx)
+            t = _check(ts, side, funs, decls, ctx)
             if not _is_int(t):
                 raise LocTypeError("TypeMismatch",
                                    f"operand of {e.op} has type {t}, expected Int", ctx)
         return S.INT
     if isinstance(e, S.App):
-        return _check_app(ts, e, prog, decls, ctx)
+        return _check_app(ts, e, funs, decls, ctx)
     if isinstance(e, S.DataCon):
-        return _check_datacon(ts, e, prog, decls, ctx)
+        return _check_datacon(ts, e, funs, decls, ctx)
     if isinstance(e, S.Let):
-        t_bound = _check(ts, e.bound, prog, decls, ctx)
+        t_bound = _check(ts, e.bound, funs, decls, ctx)
         if not _types_agree(e.ty, t_bound):
             raise LocTypeError("TypeMismatch",
                                f"let {e.var} declared {e.ty} but bound {t_bound}", ctx)
@@ -97,18 +106,18 @@ def _check(ts: TypeState, e: S.Expr, prog: S.Program, decls: Decls, ctx: str) ->
         if lt is not None:
             sigma2 = dict(ts.sigma)
             sigma2[lt.loc] = lt
-        return _check(ts.child(gamma=gamma2, sigma=sigma2), e.body, prog, decls, ctx)
+        return _check(ts.child(gamma=gamma2, sigma=sigma2), e.body, funs, decls, ctx)
     if isinstance(e, S.LetLoc):
-        return _check_letloc(ts, e, prog, decls, ctx)
+        return _check_letloc(ts, e, funs, decls, ctx)
     if isinstance(e, S.LetRegion):
         if e.region in ts.allocsites:
             raise LocTypeError("TypeMismatch", f"region {e.region} already bound", ctx)
         ts.allocsites[e.region] = None
-        ty = _check(ts, e.body, prog, decls, ctx)
+        ty = _check(ts, e.body, funs, decls, ctx)
         ts.allocsites.pop(e.region, None)
         return ty
     if isinstance(e, S.Case):
-        return _check_case(ts, e, prog, decls, ctx)
+        return _check_case(ts, e, funs, decls, ctx)
     raise LocTypeError("TypeMismatch", f"unexpected expression {e!r}", ctx)
 
 
@@ -121,7 +130,7 @@ def _types_agree(declared: S.Type, actual: S.Type) -> bool:
     return False
 
 
-def _check_letloc(ts: TypeState, e: S.LetLoc, prog: S.Program, decls: Decls,
+def _check_letloc(ts: TypeState, e: S.LetLoc, funs: Funs, decls: Decls,
                   ctx: str) -> S.Type:
     if e.region not in ts.allocsites:
         raise LocTypeError("UnboundLocation",
@@ -162,7 +171,7 @@ def _check_letloc(ts: TypeState, e: S.LetLoc, prog: S.Program, decls: Decls,
     constraints2[e.loc] = le
     ts.allocsites[e.region] = e.loc
     ts.nursery.add(e.loc)
-    return _check(ts.child(constraints=constraints2), e.body, prog, decls, ctx)
+    return _check(ts.child(constraints=constraints2), e.body, funs, decls, ctx)
 
 
 def _value_location(ts: TypeState, v: S.Expr, ctx: str) -> S.PackedType:
@@ -178,7 +187,7 @@ def _value_location(ts: TypeState, v: S.Expr, ctx: str) -> S.PackedType:
     raise LocTypeError("TypeMismatch", f"expected a packed value, got {v!r}", ctx)
 
 
-def _check_datacon(ts: TypeState, e: S.DataCon, prog: S.Program, decls: Decls,
+def _check_datacon(ts: TypeState, e: S.DataCon, funs: Funs, decls: Decls,
                    ctx: str) -> S.Type:
     if e.tag not in decls.constructors:
         raise LocTypeError("TypeMismatch", f"unknown constructor {e.tag}", ctx)
@@ -195,7 +204,7 @@ def _check_datacon(ts: TypeState, e: S.DataCon, prog: S.Program, decls: Decls,
     seen_scalar = False
     for k, (fty, fv) in enumerate(zip(ftys, e.fields)):
         if fty == "Int":
-            t = _check(ts, fv, prog, decls, ctx)
+            t = _check(ts, fv, funs, decls, ctx)
             if not _is_int(t):
                 raise LocTypeError("TypeMismatch",
                                    f"field {k + 1} of {e.tag} must be Int, got {t}", ctx)
@@ -225,11 +234,10 @@ def _check_datacon(ts: TypeState, e: S.DataCon, prog: S.Program, decls: Decls,
     return S.PackedType(tycon, e.loc, e.region)
 
 
-def _check_app(ts: TypeState, e: S.App, prog: S.Program, decls: Decls, ctx: str) -> S.Type:
-    try:
-        fd = prog.fundecl(e.func)
-    except KeyError:
-        raise LocTypeError("TypeMismatch", f"unknown function {e.func}", ctx) from None
+def _check_app(ts: TypeState, e: S.App, funs: Funs, decls: Decls, ctx: str) -> S.Type:
+    fd = funs.get(e.func)
+    if fd is None:
+        raise LocTypeError("TypeMismatch", f"unknown function {e.func}", ctx)
     if len(e.locargs) != len(fd.locparams):
         raise LocTypeError("ArityMismatch",
                            f"{e.func} takes {len(fd.locparams)} location arguments, "
@@ -252,7 +260,7 @@ def _check_app(ts: TypeState, e: S.App, prog: S.Program, decls: Decls, ctx: str)
     for (pname, pty), arg in zip(fd.params, e.args):
         lt = _located(pty)
         if lt is None:
-            t = _check(ts, arg, prog, decls, ctx)
+            t = _check(ts, arg, funs, decls, ctx)
             if not _is_int(t):
                 raise LocTypeError("TypeMismatch",
                                    f"argument {pname} of {e.func} must be Int, got {t}", ctx)
@@ -282,14 +290,14 @@ def _check_app(ts: TypeState, e: S.App, prog: S.Program, decls: Decls, ctx: str)
     return S.PackedType(ret.tycon, out_loc, out_reg)
 
 
-def _check_case(ts: TypeState, e: S.Case, prog: S.Program, decls: Decls, ctx: str) -> S.Type:
-    t_scrut = _check(ts, e.scrut, prog, decls, ctx)
+def _check_case(ts: TypeState, e: S.Case, funs: Funs, decls: Decls, ctx: str) -> S.Type:
+    t_scrut = _check(ts, e.scrut, funs, decls, ctx)
     base_sites = dict(ts.allocsites)
     base_nursery = set(ts.nursery)
     results: list[tuple[S.Type, dict, set]] = []
 
     def run_branch(ts_b: TypeState, body: S.Expr) -> None:
-        ty = _check(ts_b, body, prog, decls, ctx)
+        ty = _check(ts_b, body, funs, decls, ctx)
         results.append((ty, ts_b.allocsites, ts_b.nursery))
 
     if _is_int(t_scrut) and not isinstance(t_scrut, S.PackedType):
@@ -355,16 +363,41 @@ def _check_case(ts: TypeState, e: S.Case, prog: S.Program, decls: Decls, ctx: st
 ### program typing
 
 def typecheck_program(p: S.Program) -> TypedProgram:
-    decls = p.decls()
+    decls, funs = _tables(p)
     for fd in p.fundecls:
-        _check_fundecl(fd, p, decls)
+        _check_fundecl(fd, funs, decls)
     ts = TypeState(allocsites={"r%main": None}, nursery={"l%main"},
                    constraints={"l%main": S.StartOfRegion("r%main")})
-    _check(ts, p.main, p, decls, "main")
-    return TypedProgram(p, decls)
+    return TypedProgram(p, decls, _check(ts, p.main, funs, decls, "main"))
 
 
-def _check_fundecl(fd: S.FunDecl, p: S.Program, decls: Decls) -> None:
+def _tables(p: S.Program) -> tuple[Decls, Funs]:
+    """The constructor and function tables, with every name declared once
+    and every field type an `Int` or a declared datatype."""
+    cons: dict[str, tuple[str, list[str]]] = {}
+    tycons: set[str] = set()
+    for dd in p.datadecls:
+        if dd.tycon in tycons:
+            raise LocTypeError("TypeMismatch", f"duplicate datatype {dd.tycon}")
+        tycons.add(dd.tycon)
+        for tag, ftys in dd.constructors:
+            if tag in cons:
+                raise LocTypeError("TypeMismatch", f"duplicate constructor {tag}")
+            cons[tag] = (dd.tycon, list(ftys))
+    for tag, (_, ftys) in cons.items():
+        for fty in ftys:
+            if fty != "Int" and fty not in tycons:
+                raise LocTypeError("TypeMismatch",
+                                   f"unknown type {fty} in constructor {tag}")
+    funs: Funs = {}
+    for fd in p.fundecls:
+        if fd.name in funs:
+            raise LocTypeError("TypeMismatch", f"duplicate function {fd.name}")
+        funs[fd.name] = fd
+    return Decls(cons), funs
+
+
+def _check_fundecl(fd: S.FunDecl, funs: Funs, decls: Decls) -> None:
     ctx = f"function {fd.name}"
     gamma: dict[str, S.Type] = {}
     sigma: dict[str, S.PackedType] = {}
@@ -388,7 +421,7 @@ def _check_fundecl(fd: S.FunDecl, p: S.Program, decls: Decls) -> None:
         allocsites[ret.region] = ret.loc
         nursery.add(ret.loc)
     ts = TypeState(gamma, sigma, {}, allocsites, nursery)
-    ty = _check(ts, fd.body, p, decls, ctx)
+    ty = _check(ts, fd.body, funs, decls, ctx)
     if not _types_agree(fd.ret, ty):
         raise LocTypeError("TypeMismatch",
                            f"{fd.name} declared to return {fd.ret}, body has {ty}", ctx)

@@ -14,6 +14,22 @@ GOOD_EXAMPLES = sorted(p.name for p in EXAMPLES.glob("*.lcp")
                        if not p.name.startswith("bad_"))
 BAD_EXAMPLES = sorted(p.name for p in EXAMPLES.glob("bad_*.lcp"))
 
+# programs whose declarations the type checker rejects, each with the
+# message that names the offender
+BAD_DECLS = {
+    "duplicate-datatype": ("data T = A Int\ndata T = B Int\n\nmain = 1\n",
+                           "duplicate datatype T"),
+    "duplicate-constructor": ("data T = A Int\ndata U = A Int\n\nmain = 1\n",
+                              "duplicate constructor A"),
+    "duplicate-function": ("data T = A Int\n\n"
+                           "fun f [l@r] (n : Int) : T@l@r = (A l@r n)\n\n"
+                           "fun f [l@r] (n : Int) : T@l@r = (A l@r n)\n\n"
+                           "main = 1\n",
+                           "duplicate function f"),
+    "unknown-field-type": ("data T = A Ghost\n\nmain = 1\n",
+                           "unknown type Ghost in constructor A"),
+}
+
 
 @pytest.fixture(scope="session")
 def load_program():
@@ -54,12 +70,11 @@ def canonical():
     """Flatten a run result to a schedule-independent comparison key."""
     from locpar import syntax as S
     from locpar import layout as L
-    from locpar.cli import _main_tycon
 
     def _canon(tp, value, store):
         if isinstance(value, S.IntLit):
             return ("int", value.value)
-        return ("tree", L.flatten_value(value.loc, _main_tycon(tp),
+        return ("tree", L.flatten_value(value.loc, tp.main_type.tycon,
                                         store, tp.decls))
 
     return _canon

@@ -57,7 +57,7 @@ def heap_cells(store, region):
 def test_criterion_1_sequential_golden(load_program):
     t0 = time.perf_counter()
     tp = load_program("constfold.lcp")
-    res = run_seq(tp, trace=[])
+    res = run_seq(tp)
     out_r = res.value.loc.region
     assert heap_cells(res.store, out_r) == ["Plus", "Lit", 20, "Lit", 22]
     in_r = next(r for r in res.store.regions if r != out_r)

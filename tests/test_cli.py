@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output shapes, diagnostics."""
 
+import functools
 import json
 
 import pytest
 
-from conftest import EXAMPLES, bench_source
+from conftest import BAD_DECLS, EXAMPLES, bench_source
 
+from locpar import eval_par as P
 from locpar.cli import main
 
 
@@ -39,6 +41,16 @@ class TestCheck:
         bad.write_text("fun ( = in\n")
         code, _, err = run_cli(capsys, "check", str(bad))
         assert code == 1
+
+    @pytest.mark.parametrize("name", sorted(BAD_DECLS))
+    def test_declaration_error_exits_1(self, capsys, tmp_path, name):
+        src, message = BAD_DECLS[name]
+        bad = tmp_path / f"{name}.lcp"
+        bad.write_text(src)
+        code, _, err = run_cli(capsys, "check", str(bad))
+        assert code == 1
+        [d] = diags(err)
+        assert d["code"] == "TypeMismatch" and message in d["message"]
 
 
 class TestRunSeq:
@@ -140,6 +152,31 @@ class TestExplore:
         payload = json.loads(out.splitlines()[-1])
         assert payload["terminals"] >= 2
         assert payload["distinct_values"] == 1
+
+    def test_let_bound_main(self, capsys, tmp_path):
+        # main's value is flattened at the type the checker gave main, here
+        # through a let that binds the call's result
+        src = (EXAMPLES / "buildtree.lcp").read_text().replace(
+            "  (buildtree [l@r] 4)",
+            "  let t : Tree@l@r = (buildtree [l@r] 2) in t")
+        assert "let t" in src
+        path = tmp_path / "letmain.lcp"
+        path.write_text(src)
+        code, out, err = run_cli(capsys, "run", str(path), "--mode", "explore",
+                                 "--fork-bound", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"terminals": 5, "distinct_values": 1}
+
+    def test_state_budget_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(P, "enumerate_schedules",
+                            functools.partial(P.enumerate_schedules,
+                                              state_cap=10))
+        code, out, err = run_cli(capsys, "run", str(EXAMPLES / "buildtree.lcp"),
+                                 "--mode", "explore", "--fork-bound", "1")
+        assert (code, out) == (2, "")
+        assert diags(err) == [{"severity": "error",
+                               "code": "ResourceExhausted",
+                               "message": "more than 10 states"}]
 
 
 class TestBench:

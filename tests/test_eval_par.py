@@ -138,6 +138,13 @@ class TestEnumeration:
         keys = {canonical(tp, t.value, t.store) for t in terms}
         assert len(keys) == 1
 
+    def test_state_budget(self, load_program):
+        tp = load_program("buildtree.lcp")
+        with pytest.raises(SemanticsError) as ei:
+            list(P.enumerate_schedules(tp, 1, state_cap=10))
+        assert (ei.value.code, ei.value.message) == \
+            ("ResourceExhausted", "more than 10 states")
+
     def test_canonical_hash_stable_and_sensitive(self, load_program):
         tp = load_program("constfold.lcp")
         m = P.Machine(tp)

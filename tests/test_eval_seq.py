@@ -10,7 +10,7 @@ from locpar import eval_seq as E
 from locpar import syntax as S
 from locpar.eval_seq import (RunContext, SemanticsError, SeqState, Value,
                              run_seq, step_seq, verify_frontier_notes)
-from locpar.store import IndirectionCell, Scalar, Store, Tag
+from locpar.store import Decls, IndirectionCell, Scalar, Store, Tag
 from locpar.typecheck import typecheck_program
 
 
@@ -48,7 +48,7 @@ class TestConstFold:
         assert res.metrics["regions_created"] == 2
 
     def test_rule_trace_shape(self, load_program):
-        res = run_seq(load_program("constfold.lcp"), trace=[])
+        res = run_seq(load_program("constfold.lcp"))
         assert len(res.rules) == res.metrics["steps"] == 36
         # evaluation of the fold itself: allocate the output region, place
         # the first field tag, recurse, fix the second field with an
@@ -126,7 +126,7 @@ main = (g [l@r] 3)
         # a lookup is not a step: the unbound variable becomes the focus,
         # and the step from it is stuck
         prog = S.parse_program("data D = MkD Int\n\nmain = (1 + (x * 2))\n")
-        tp = SimpleNamespace(program=prog, decls=prog.decls())
+        tp = SimpleNamespace(program=prog, decls=Decls({"MkD": ("D", ["Int"])}))
         with pytest.raises(SemanticsError, match="Stuck: free variable x"):
             run_seq(tp)
 

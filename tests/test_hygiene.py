@@ -1,6 +1,7 @@
 """Source hygiene, checked over the AST since no linter is installed: no
-module imports a name it never reads, and every top-level function and class
-in `src/locpar` has a reader in the library or the benchmark harness."""
+module imports a name it never reads, every top-level function and class
+in `src/locpar` has a reader in the library or the benchmark harness, and
+every function reads each of its parameters."""
 
 import ast
 from pathlib import Path
@@ -16,6 +17,12 @@ TEST_ORACLES = {
     "byte_parse": "round-trip oracle for both byte serializers",
     "bottom_two_pack_stats": "closed-form pointer counts behind criterion 8",
     "print_program": "parse/print round trip over the corpus",
+}
+
+# parameters that their function does not read, which callers still pass
+UNREAD_PARAMETERS = {
+    "check_wellformed.tts": "passed positionally by benchmarks/workloads.py; "
+                            "goes with the next benchmark change",
 }
 
 
@@ -69,6 +76,23 @@ def unread_definitions(modules: dict[str, str],
     return {f"{mod}.{name}" for mod, name in defined if name not in read}
 
 
+def unread_parameters(source: str) -> set[str]:
+    """`function.parameter` for each parameter (other than `self`) that
+    its function's body never loads, nested functions included."""
+    unread: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                  a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread |= {f"{node.name}.{p}" for p in params
+                   if p not in read and p != "self"}
+    return unread
+
+
 def _sources(paths) -> dict[str, str]:
     return {str(p.relative_to(ROOT)): p.read_text() for p in paths}
 
@@ -85,6 +109,11 @@ def test_every_definition_has_a_reader():
     assert {u.rsplit(".", 1)[1] for u in unread} == set(TEST_ORACLES), unread
 
 
+def test_every_parameter_is_read():
+    unread = set().union(*(unread_parameters(p.read_text()) for p in MODULES))
+    assert unread == set(UNREAD_PARAMETERS)
+
+
 def test_checks_catch_what_they_look_for():
     typecheck = (SRC / "typecheck.py").read_text()
     leftover = typecheck.replace("from .store import Decls",
@@ -94,3 +123,7 @@ def test_checks_catch_what_they_look_for():
     mod = "def used():\n    return 1\n\ndef dead():\n    return dead()\n"
     reader = "from m import used\nused()\n"
     assert unread_definitions({"m": mod}, {"r": reader}) == {"m.dead"}
+    mod = ("class C:\n    def m(self, a, *rest, k=1):\n"
+           "        def inner():\n            return a + k\n"
+           "        return inner()\n")
+    assert unread_parameters(mod) == {"m.rest"}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import EXAMPLES, GOOD_EXAMPLES
+from conftest import BAD_DECLS, EXAMPLES, GOOD_EXAMPLES
 
 from locpar import syntax as S
 from locpar.typecheck import LocTypeError, typecheck_program
@@ -44,10 +44,17 @@ main =
   letloc l@r = start r in
   (Quux l@r 1)
 """
-        # constructor names are resolved during parsing (arity is needed
-        # to read the fields), so this is a front-end rejection
-        with pytest.raises(S.SyntaxErrorLC):
+        with pytest.raises(LocTypeError, match="unknown constructor Quux"):
             typecheck_program(S.parse_program(src))
+
+    @pytest.mark.parametrize("name", sorted(BAD_DECLS))
+    def test_declarations(self, name):
+        # the parser only parses: every declaration check is the checker's
+        src, message = BAD_DECLS[name]
+        prog = S.parse_program(src)
+        with pytest.raises(LocTypeError, match=message) as ei:
+            typecheck_program(prog)
+        assert ei.value.code == "TypeMismatch"
 
     def test_unknown_function(self):
         src = """
