@@ -17,8 +17,8 @@ from . import syntax as S
 from . import eval_par as P
 from . import layout as L
 from .typecheck import LocTypeError, typecheck_program
-from .eval_seq import run_seq, verify_frontier_notes, SemanticsError
-from .store import StoreError
+from .eval_seq import run_seq, verify_frontier_notes
+from .store import SemanticsError
 
 
 def _diag(severity: str, code: str, message: str) -> None:
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_schedule(spec: str) -> P.Schedule:
+def _parse_schedule(spec: str):
     if spec == "never":
         return P.never_fork()
     if spec == "always":
@@ -126,15 +126,13 @@ def _cmd_run(args) -> int:
     if args.mode == "seq":
         return _finish_run(args, run_seq(tp), tp.decls)
     if args.mode == "par":
-        if args.threads > 0:
-            res = P.run_threads(tp, args.threads,
-                                {"implicit_par": args.implicit_par})
-            return _finish_run(args, res, tp.decls)
-        sched = _parse_schedule(args.schedule)
         opts = {"implicit_par": args.implicit_par}
         if args.check_wf_every_step:
             opts["wf_callback"] = _check_wf
-        res = P.run_par(tp, sched, opts)
+        if args.threads > 0:
+            res = P.run_threads(tp, args.threads, opts)
+        else:
+            res = P.run_par(tp, _parse_schedule(args.schedule), opts)
         return _finish_run(args, res, tp.decls)
     if args.mode == "explore":
         return _cmd_explore(args, tp)
@@ -203,7 +201,7 @@ def main(argv=None) -> int:
         code = getattr(err, "code", "Parse")
         _diag("error", code, str(err))
         return 1
-    except (SemanticsError, StoreError) as err:
+    except SemanticsError as err:
         _diag("error", err.code, err.message)
         return 2
     except (RecursionError, MemoryError) as err:

@@ -39,11 +39,11 @@ from dataclasses import dataclass, field as dcfield
 
 from . import syntax as S
 from .store import (Store, ConcreteLoc, Concrete, Ivar, Indirection,
-                    Tag, Scalar, IndirectionCell, StoreError,
+                    Tag, Scalar, IndirectionCell, SemanticsError,
                     deref_concrete, end_witness, alloc_frontier,
-                    merge_store, merge_locmap, link_fields)
-from .eval_seq import (SeqState, Env, RunContext, step_seq, Stepped,
-                       SemanticsError, RunResult, blocked_on)
+                    merge_store, merge_locmap, write_cell)
+from .eval_seq import (SeqState, Env, RunContext, step_seq, value_end,
+                       RunResult, blocked_on)
 
 
 ### tasks
@@ -77,7 +77,9 @@ class TaskSet:
     holders: dict[str, int] = dcfield(default_factory=dict)  # ivar -> live tasks holding it
 
     def ordered(self) -> list[Task]:
-        return [self.tasks[k] for k in sorted(self.tasks)]
+        """The live tasks in task order: tids only grow, so that is the
+        order they were inserted in."""
+        return list(self.tasks.values())
 
     def root(self) -> Task:
         return self.tasks[0]
@@ -102,35 +104,6 @@ class TaskSet:
                 self.holders[iv] = n
             else:
                 del self.holders[iv]
-
-
-### schedules
-
-@dataclass
-class Schedule:
-    policy: str  # 'never' | 'always' | 'random' | 'trace'
-    seed: int | None = None
-    decisions: list[dict] | None = None  # for 'trace': {step, task, action}
-
-    def __post_init__(self):
-        if self.policy == "random":
-            self._rng = random.Random(self.seed)
-
-
-def never_fork() -> Schedule:
-    return Schedule("never")
-
-
-def always_fork() -> Schedule:
-    return Schedule("always")
-
-
-def random_schedule(seed: int) -> Schedule:
-    return Schedule("random", seed=seed)
-
-
-def trace_schedule(decisions: list[dict]) -> Schedule:
-    return Schedule("trace", decisions=decisions)
 
 
 ### transitions
@@ -309,7 +282,9 @@ def _resolve_ivar(st: SeqState, iv: str, to: ConcreteLoc) -> None:
 
 
 def _join_link_fields(ctx: RunContext, cst: SeqState) -> None:
-    """After a constructor join, stitch each resolved field to its successor."""
+    """After a constructor join, stitch each resolved field to its successor:
+    when field k+1 was allocated into a fresh region, write an indirection
+    to it one past the end of field k, which its frontier note tells."""
     e, fields = cst.focus, cst.args
     if not isinstance(e, S.DataCon):
         return
@@ -322,39 +297,74 @@ def _join_link_fields(ctx: RunContext, cst: SeqState) -> None:
         nxt = fields[k + 1]
         if not isinstance(nxt, S.ConcreteLocVal) or nxt.loc.origin is None:
             continue
-        if link_fields(cst.store, cst.locmap, ctx.decls, fty, fv.loc,
-                       nxt.loc.origin):
+        link = cst.locmap.get(nxt.loc.origin)
+        if link is None or not isinstance(link.ext, Indirection):
+            continue
+        cl = deref_concrete(fv.loc)
+        r, end = value_end(ctx, cst, fty, cl.region, cl.ext.index)
+        if write_cell(cst.store, r, end,
+                      IndirectionCell(link.ext.region, link.ext.index)):
             ctx.metrics["indirections"] += 1
             ctx.metrics["cells_written"] += 1
 
 
-### choosing
+### schedules
+#
+# A schedule is a function of the machine: the action to apply next, or
+# None when no action is enabled.
 
-def choose_action(sched: Schedule, actions: list[Action], stepno: int) -> Action:
-    if sched.policy == "never":
+def never_fork():
+    """Never fork: the first enabled step or join, in task order."""
+    def choose(m: Machine) -> Action | None:
+        actions = m.enabled()
         for a in actions:
             if a[0] != "fork":
                 return a
-        raise SemanticsError("Stuck", "only fork transitions enabled under NeverFork")
-    if sched.policy == "always":
+        if actions:
+            raise SemanticsError("Stuck", "only fork transitions enabled under NeverFork")
+        return None
+    return choose
+
+
+def always_fork():
+    """Fork whenever a task can, else step, else join; lowest task first."""
+    def choose(m: Machine) -> Action | None:
+        actions = m.enabled()
         for kind in ("fork", "step", "join"):
             for a in actions:
                 if a[0] == kind:
                     return a
-        raise SemanticsError("Stuck", "no enabled transition")
-    if sched.policy == "random":
-        return sched._rng.choice(actions)
-    if sched.policy == "trace":
-        if stepno >= len(sched.decisions or []):
+        return None
+    return choose
+
+
+def random_schedule(seed: int):
+    """A uniform draw from the enabled actions, from a generator seeded once."""
+    rng = random.Random(seed)
+
+    def choose(m: Machine) -> Action | None:
+        actions = m.enabled()
+        return rng.choice(actions) if actions else None
+    return choose
+
+
+def trace_schedule(decisions: list[dict]):
+    """Replay logged decisions ({step, task, action}) one per action."""
+    def choose(m: Machine) -> Action | None:
+        actions = m.enabled()
+        if not actions:
+            return None
+        stepno = len(m.decisions)
+        if stepno >= len(decisions):
             raise SemanticsError("Stuck", f"trace exhausted at step {stepno}")
-        d = sched.decisions[stepno]
+        d = decisions[stepno]
         want = (d["action"], d["task"])
         if want not in actions:
             raise SemanticsError("Stuck",
                                  f"trace step {stepno} wants {want}, "
                                  f"enabled {actions}")
         return want
-    raise SemanticsError("Stuck", f"schedule policy {sched.policy} cannot drive a run")
+    return choose
 
 
 ### the task machine
@@ -419,9 +429,10 @@ class Machine:
         task = ts.tasks[tid]
         child = None
         if kind == "step":
-            res = step_seq(self.ctx, task.state)
-            if not isinstance(res, Stepped):
-                raise SemanticsError("Stuck", f"task {tid}: {res.reason}")
+            try:
+                step_seq(self.ctx, task.state)
+            except SemanticsError as err:
+                raise SemanticsError("Stuck", f"task {tid}: {err.message}") from None
             self._refresh(task)
         elif kind == "fork":
             child = _fork(self.ctx, ts, task)
@@ -477,14 +488,14 @@ class Machine:
             self._refresh(self.ts.tasks[tid])
 
 
-def run_par(tp, sched: Schedule, opts: dict | None = None) -> RunResult:
-    """Drive the machine by `sched` until every task is complete and the
-    root resolved."""
+def run_par(tp, sched, opts: dict | None = None) -> RunResult:
+    """Drive the machine by the schedule `sched` until it has no action to
+    take; then every task must be complete and the root resolved."""
     opts = opts or {}
     m = Machine(tp, implicit_par=bool(opts.get("implicit_par")))
     wf_cb = opts.get("wf_callback")
-    while actions := m.enabled():
-        m.apply(choose_action(sched, actions, len(m.decisions)))
+    while (act := sched(m)) is not None:
+        m.apply(act)
         if wf_cb is not None:
             wf_cb(m.ctx, m.ts)
     return m.result()
@@ -535,7 +546,7 @@ def check_wellformed(tts, ts: TaskSet, ctx: RunContext) -> list[str]:
                 try:
                     end_witness(ctx.decls, st.sigma[l].tycon,
                                 dcl.region, dcl.ext.index, st.store, ends)
-                except StoreError as err:
+                except SemanticsError as err:
                     v.append(f"{label}: materialized {l} incomplete: {err}")
         v.extend(_check_constraints(ctx, task, ends))
         v.extend(_check_allocation(ctx, task, ends))
@@ -588,7 +599,7 @@ def _check_after_constraint(ctx: RunContext, task: Task, l: str,
                                      ds.region, ds.ext.index, st.store, ends)
             if (cl.region, cl.ext.index) == (r_end, end):
                 holds.append("end-witness")
-        except StoreError:
+        except SemanticsError:
             pass
     if isinstance(cl.ext, Concrete) and (le.ty.loc not in st.sigma
                                          or src is None
@@ -651,7 +662,7 @@ def _check_allocation(ctx: RunContext, task: Task, ends: dict) -> list[str]:
                         v.append(f"{label}: last allocation {l} ends at {end} "
                                  f"but {r_end} holds a non-link cell at {j}")
                         break
-            except StoreError as err:
+            except SemanticsError as err:
                 v.append(f"{label}: allocation site {l} unreadable: {err}")
     if isinstance(task.state.focus, S.ConcreteLocVal):
         cl = task.state.focus.loc
@@ -663,7 +674,7 @@ def _check_allocation(ctx: RunContext, task: Task, ends: dict) -> list[str]:
                 if end <= alloc_frontier(r_end, st.store):
                     v.append(f"{label}: completed value ends at {end} but "
                              f"{r_end} is allocated past it")
-            except StoreError as err:
+            except SemanticsError as err:
                 v.append(f"{label}: completed value unreadable: {err}")
     for r, site in st.allocsites.items():
         if site is None and st.store.regions.get(r):
@@ -882,13 +893,15 @@ def run_threads(tp, max_workers: int, opts: dict | None = None) -> RunResult:
     forked child is queued as unstarted, a task that has nothing left but a
     wait runs an unstarted producer inline, and a pool thread that finds its
     task already taken returns at once.  So no thread waits on a child that
-    is still queued, and any pool size finishes.
+    is still queued, and any pool size finishes.  `opts["wf_callback"]`, if
+    given, is called after each applied action, under the lock.
     """
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
     opts = opts or {}
     m = Machine(tp, implicit_par=bool(opts.get("implicit_par")))
+    wf_cb = opts.get("wf_callback")
     lock = threading.Lock()
     done: dict[int, threading.Event] = {}  # tid -> set when its thread stops
     unstarted: set[int] = set()  # forked tids no thread has taken
@@ -908,6 +921,8 @@ def run_threads(tp, max_workers: int, opts: dict | None = None) -> RunResult:
                         done[child.tid] = threading.Event()
                         unstarted.add(child.tid)
                         pool.submit(take, child.tid)
+                    if wf_cb is not None:
+                        wf_cb(m.ctx, m.ts)
                     continue
                 wait = m.waits.get(tid)
                 if wait is None:

@@ -33,18 +33,9 @@ from dataclasses import dataclass, field as dcfield
 
 from . import syntax as S
 from .store import (Store, LocationMap, ConcreteLoc, Concrete, Ivar, Indirection,
-                    Tag, Scalar, Decls, StoreError,
+                    Tag, Scalar, Decls, SemanticsError,
                     deref_location, deref_concrete, end_witness,
                     resolve_links, write_cell)
-
-
-class SemanticsError(Exception):
-    """A stuck state or store violation: a bug in the program or evaluator."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
 
 
 class Env:
@@ -174,26 +165,6 @@ def _plug(frame: tuple, v: S.Expr) -> tuple:
     return node, env, vals + (v,)
 
 
-### step results
-
-@dataclass
-class Stepped:
-    rule: str
-
-
-@dataclass
-class Value:
-    value: S.Expr  # IntLit or ConcreteLocVal
-
-
-@dataclass
-class Stuck:
-    reason: str
-
-
-StepResult = Stepped | Value | Stuck
-
-
 class RunContext:
     """Shared per-run machinery: program, declarations, fresh names, metrics,
     and each function with its body's binder count."""
@@ -223,22 +194,21 @@ class RunContext:
         return out
 
 
-def step_seq(ctx: RunContext, st: SeqState) -> StepResult:
-    """Take one step of `st` in place.
+def step_seq(ctx: RunContext, st: SeqState) -> str:
+    """Take one step of the incomplete state `st` in place; return the
+    rule's name.
 
     The caller makes sure `blocked_on(st)` is None first; the rules do not
-    test for ivars.  A stuck step may leave `st` half rewritten.
+    test for ivars.  A stuck step raises `SemanticsError` with code `Stuck`
+    and may leave `st` half rewritten.
     """
-    e = st.focus
-    if S.is_value(e):
-        return Value(e)
     try:
-        e, env, rule = _contract(ctx, st, e)
-    except (StoreError, SemanticsError) as err:
-        return Stuck(str(err))
+        e, env, rule = _contract(ctx, st, st.focus)
+    except SemanticsError as err:
+        raise SemanticsError("Stuck", str(err)) from None
     st.refocus(e, env)
     ctx.metrics["steps"] += 1
-    return Stepped(rule)
+    return rule
 
 
 def blocked_on(st: SeqState) -> tuple[str, str] | None:
@@ -340,7 +310,7 @@ def _rule_letloc(ctx: RunContext, st: SeqState, e: S.LetLoc, env: Env) -> Next:
             ctx.metrics["extra_regions"] += 1
             return e.body, body_env, "D-LetLoc-After-NewReg"
         src = deref_concrete(src_cl)
-        r_end, end = _value_end(ctx, st, le.ty.tycon, src.region, src.ext.index)
+        r_end, end = value_end(ctx, st, le.ty.tycon, src.region, src.ext.index)
         cl = ConcreteLoc(r_end, Concrete(end), l)
         alloc_region = r_end
         rule = "D-LetLoc-After"
@@ -389,10 +359,11 @@ def _rule_primop(e: S.PrimOp, args: tuple, env: Env) -> Next:
     return S.IntLit(v), env, "D-PrimOp"
 
 
-def _value_end(ctx: RunContext, st: SeqState, tau: str, r: str,
-               i: int) -> tuple[str, int]:
+def value_end(ctx: RunContext, st: SeqState, tau: str, r: str,
+              i: int) -> tuple[str, int]:
     """One past the packed value of type tau at (r, i), after its links:
-    its frontier note, or a fresh scan when there is none (or no tag of tau)."""
+    its frontier note, or a fresh scan when there is none (or no tag of tau).
+    Steps and the task machine's joins both find value ends here."""
     r, i, hv = resolve_links(st.store, r, i)
     note = st.frontier_notes.get((r, i))
     if note is not None and isinstance(hv, Tag) and ctx.decls.tycon_of(hv.name) == tau:
@@ -420,7 +391,7 @@ def _rule_datacon(ctx: RunContext, st: SeqState, e: S.DataCon, env: Env) -> Next
         else:
             # the field value was written earlier; the cell at the cursor is
             # either its first cell or an indirection stitched in by a join
-            cur_r, cur = _value_end(ctx, st, fty, cur_r, cur)
+            cur_r, cur = value_end(ctx, st, fty, cur_r, cur)
     st.sigma[l] = S.PackedType(ctx.decls.tycon_of(e.tag), l, env.reg(e.region))
     st.nursery.discard(l)
     st.allocsites[r] = l
@@ -492,7 +463,7 @@ def _rule_case(ctx: RunContext, st: SeqState, e: S.Case, env: Env) -> Next:
                         S.PackedType(prev[0], prev[1], cl.region))
             prev = (fty, ploc)
         cur_r, cur = (fr, fi + 1) if fty == "Int" \
-            else _value_end(ctx, st, fty, fr, fi)
+            else value_end(ctx, st, fty, fr, fi)
     return chosen.body, env.bind(vars=vm, locs=lm), "D-Case"
 
 
@@ -513,14 +484,10 @@ def run_seq(tp) -> RunResult:
     ctx = RunContext(tp)
     st = SeqState(Store(), {}, tp.program.main)
     rules: list[str] = []
-    while True:
+    while not st.complete():
         # nothing forks, so no ivar exists and every state is unblocked
-        res = step_seq(ctx, st)
-        if isinstance(res, Value):
-            return RunResult(res.value, st.store, st.locmap, ctx.metrics, st, rules)
-        if isinstance(res, Stuck):
-            raise SemanticsError("Stuck", res.reason)
-        rules.append(res.rule)
+        rules.append(step_seq(ctx, st))
+    return RunResult(st.focus, st.store, st.locmap, ctx.metrics, st, rules)
 
 
 def verify_frontier_notes(decls: Decls, st: SeqState) -> list[str]:

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field as dcfield
 
 from .store import (Store, ConcreteLoc, Concrete, Tag, Scalar,
-                    IndirectionCell, StoreError, deref_concrete, resolve_links)
+                    IndirectionCell, SemanticsError, deref_concrete, resolve_links)
 
 LINK_MARKER = 0xFF   # continuation: the value resumes in another chunk
 PTR_MARKER = 0xFE    # subtree pointer: a whole child lives in another chunk
@@ -39,10 +39,6 @@ class Leaf:
     value: int
 
 
-class IncompleteValue(Exception):
-    pass
-
-
 class ValueTooLarge(ValueError):
     """A constructor does not fit the chunk policy's cap."""
 
@@ -58,7 +54,8 @@ def flatten_value(root: ConcreteLoc, tau: str, store: Store, decls):
     read."""
     cl = deref_concrete(root)
     if not isinstance(cl.ext, Concrete):
-        raise IncompleteValue(f"root of {tau} is not a concrete address")
+        raise SemanticsError("IncompleteValue",
+                             f"root of {tau} is not a concrete address")
     r, i = cl.region, cl.ext.index
     heap = store.regions.get(r, {})
     # open constructors: (tag, field types, the fields read so far)
@@ -69,21 +66,22 @@ def flatten_value(root: ConcreteLoc, tau: str, store: Store, decls):
             # the value and everything after it continue in the target region
             try:
                 r, i, cell = resolve_links(store, r, i)
-            except StoreError as err:
-                raise IncompleteValue(err.message) from None
+            except SemanticsError as err:
+                raise SemanticsError("IncompleteValue", err.message) from None
             heap = store.regions.get(r, {})
         if cell is None:
-            raise IncompleteValue(f"missing cell at ({r}, {i})")
+            raise SemanticsError("IncompleteValue", f"missing cell at ({r}, {i})")
         if tau == "Int":
             if type(cell) is not Scalar:
-                raise IncompleteValue(f"expected scalar at ({r}, {i})")
+                raise SemanticsError("IncompleteValue", f"expected scalar at ({r}, {i})")
             v = Leaf(cell.value)
         else:
             if type(cell) is not Tag:
-                raise IncompleteValue(f"expected tag at ({r}, {i})")
+                raise SemanticsError("IncompleteValue", f"expected tag at ({r}, {i})")
             tycon, ftys = decls.constructors[cell.name]
             if tycon != tau:
-                raise IncompleteValue(f"tag {cell.name} is not a {tau} constructor")
+                raise SemanticsError("IncompleteValue",
+                                     f"tag {cell.name} is not a {tau} constructor")
             if ftys:
                 stack.append((cell.name, ftys, []))
                 tau = ftys[0]

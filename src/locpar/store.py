@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class StoreError(Exception):
-    """Raised for store-level contract violations."""
+class SemanticsError(Exception):
+    """A runtime fault, stuck state or store violation, named by its code:
+    a bug in the program or the evaluator."""
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
@@ -103,7 +104,7 @@ class Store:
 
     def add_region(self, r: str) -> None:
         if r in self.regions:
-            raise StoreError("DuplicateRegion", f"region {r} already exists")
+            raise SemanticsError("DuplicateRegion", f"region {r} already exists")
         self.regions[r] = {}
         self.owned.add(r)
 
@@ -148,7 +149,7 @@ def deref_location(m: LocationMap, l: str) -> ConcreteLoc:
     """
     cl = m.get(l)
     if cl is None:
-        raise StoreError("UnboundLocation", f"location {l} not in map")
+        raise SemanticsError("UnboundLocation", f"location {l} not in map")
     return deref_concrete(cl)
 
 
@@ -181,7 +182,7 @@ def resolve_links(s: Store, r: str, i: int) -> tuple[str, int, HeapValue | None]
     hv, seen = s.cell(r, i), ()
     while isinstance(hv, IndirectionCell):
         if (r, i) in seen:
-            raise StoreError("IndirectionCycle", f"indirection cycle at ({r},{i})")
+            raise SemanticsError("IndirectionCycle", f"indirection cycle at ({r},{i})")
         seen = {*seen, (r, i)}
         r, i = hv.region, hv.index
         hv = s.cell(r, i)
@@ -213,17 +214,17 @@ def end_witness(decls: Decls, tau: str, region: str, index: int, s: Store,
             r, cur, hv = resolve_links(s, r, cur)
             heap = s.regions.get(r, {})
         if hv is None:
-            raise StoreError("IncompleteValue", f"no cell at ({r},{cur})")
+            raise SemanticsError("IncompleteValue", f"no cell at ({r},{cur})")
         if fty == "Int":
             if type(hv) is not Scalar:
-                raise StoreError("TagMismatch", f"expected scalar at ({r},{cur})")
+                raise SemanticsError("TagMismatch", f"expected scalar at ({r},{cur})")
             cur += 1
             continue
         if type(hv) is not Tag:
-            raise StoreError("TagMismatch", f"expected tag at ({r},{cur})")
+            raise SemanticsError("TagMismatch", f"expected tag at ({r},{cur})")
         tycon, ftys = decls.constructors[hv.name]
         if tycon != fty:
-            raise StoreError("TagMismatch", f"tag {hv.name} is not a constructor of {fty}")
+            raise SemanticsError("TagMismatch", f"tag {hv.name} is not a constructor of {fty}")
         if ends is not None:
             if (r, cur) in ends:
                 r, cur = ends[(r, cur)]
@@ -241,12 +242,12 @@ def write_cell(s: Store, r: str, i: int, hv: HeapValue) -> bool:
     """Write-once cell update in place; False if the cell already holds hv."""
     heap = s.regions.get(r)
     if heap is None:
-        raise StoreError("UnknownRegion", f"region {r} does not exist")
+        raise SemanticsError("UnknownRegion", f"region {r} does not exist")
     existing = heap.get(i)
     if existing is not None:
         if existing == hv:
             return False
-        raise StoreError("DoubleWrite", f"cell ({r},{i}) holds {existing}, refusing {hv}")
+        raise SemanticsError("DoubleWrite", f"cell ({r},{i}) holds {existing}, refusing {hv}")
     s._own(r)[i] = hv
     return True
 
@@ -273,7 +274,7 @@ def merge_store(dst: Store, src: Store) -> None:
                 mine = dst._own(r)
                 mine[i] = hv
             elif old != hv:
-                raise StoreError("MergeConflict", f"cell ({r},{i}): {old} vs {hv}")
+                raise SemanticsError("MergeConflict", f"cell ({r},{i}): {old} vs {hv}")
 
 
 def merge_locmap(dst: LocationMap, src: LocationMap) -> None:
@@ -284,28 +285,7 @@ def merge_locmap(dst: LocationMap, src: LocationMap) -> None:
             dst[l] = cl2
         elif (cl1.region, cl1.ext) != (cl2.region, cl2.ext) \
                 and isinstance(cl1.ext, Ivar) == isinstance(cl2.ext, Ivar):
-            raise StoreError("MergeConflict", f"location {l}: {cl1} vs {cl2}")
-
-
-### field linking
-
-def link_fields(s: Store, m: LocationMap, decls: Decls, tau_prev: str,
-                cl_prev: ConcreteLoc, l_next: str) -> bool:
-    """Stitch field k to field k+1 across a region boundary; whether a cell
-    was written.
-
-    If the successor location resolves to an Indirection(r2, i2), an
-    indirection cell is written one past the end of field k; fields that sit
-    contiguously need nothing.
-    """
-    nxt = m.get(l_next)
-    if nxt is None or not isinstance(nxt.ext, Indirection):
-        return False
-    cl = deref_concrete(cl_prev)
-    if not isinstance(cl.ext, Concrete):
-        raise StoreError("IncompleteValue", f"field at {cl} not addressable")
-    r, end = end_witness(decls, tau_prev, cl.region, cl.ext.index, s)
-    return write_cell(s, r, end, IndirectionCell(nxt.ext.region, nxt.ext.index))
+            raise SemanticsError("MergeConflict", f"location {l}: {cl1} vs {cl2}")
 
 
 ### allocation frontier

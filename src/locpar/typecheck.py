@@ -24,8 +24,9 @@ class LocTypeError(Exception):
 
     codes: DoubleWrite, RegionAliasing, UnboundLocation,
     FieldConstraintMismatch, ArityMismatch, TypeMismatch.  The declaration
-    checks (a duplicate datatype, constructor or function, a field type that
-    names no datatype) use TypeMismatch, with no context.
+    checks (a duplicate datatype, constructor or function, a field,
+    parameter or return type that names no datatype) use TypeMismatch, with
+    no context.
     """
 
     def __init__(self, code: str, message: str, context: str = ""):
@@ -373,7 +374,8 @@ def typecheck_program(p: S.Program) -> TypedProgram:
 
 def _tables(p: S.Program) -> tuple[Decls, Funs]:
     """The constructor and function tables, with every name declared once
-    and every field type an `Int` or a declared datatype."""
+    and every field, parameter and return type an `Int` or a declared
+    datatype."""
     cons: dict[str, tuple[str, list[str]]] = {}
     tycons: set[str] = set()
     for dd in p.datadecls:
@@ -384,11 +386,14 @@ def _tables(p: S.Program) -> tuple[Decls, Funs]:
             if tag in cons:
                 raise LocTypeError("TypeMismatch", f"duplicate constructor {tag}")
             cons[tag] = (dd.tycon, list(ftys))
-    for tag, (_, ftys) in cons.items():
-        for fty in ftys:
-            if fty != "Int" and fty not in tycons:
-                raise LocTypeError("TypeMismatch",
-                                   f"unknown type {fty} in constructor {tag}")
+    named = [(fty, f"constructor {tag}") for tag, (_, ftys) in cons.items()
+             for fty in ftys]
+    named += [(ty.tycon, f"function {fd.name}") for fd in p.fundecls
+              for ty in (*(ty for _, ty in fd.params), fd.ret)
+              if isinstance(ty, S.PackedType)]
+    for tycon, where in named:
+        if tycon != "Int" and tycon not in tycons:
+            raise LocTypeError("TypeMismatch", f"unknown type {tycon} in {where}")
     funs: Funs = {}
     for fd in p.fundecls:
         if fd.name in funs:

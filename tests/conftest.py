@@ -28,6 +28,14 @@ BAD_DECLS = {
                            "duplicate function f"),
     "unknown-field-type": ("data T = A Ghost\n\nmain = 1\n",
                            "unknown type Ghost in constructor A"),
+    "unknown-parameter-type": ("data T = A Int\n\n"
+                               "fun f [l@r] (t : Ghost@l@r) : Int = 1\n\n"
+                               "main = 2\n",
+                               "unknown type Ghost in function f"),
+    "unknown-return-type": ("data T = A Int\n\n"
+                            "fun f [l@r] (n : Int) : Ghost@l@r = (A l@r n)\n\n"
+                            "main = 2\n",
+                            "unknown type Ghost in function f"),
 }
 
 

@@ -8,7 +8,9 @@ import pytest
 from conftest import BAD_DECLS, EXAMPLES, bench_source
 
 from locpar import eval_par as P
+from locpar import syntax as S
 from locpar.cli import main
+from locpar.store import Concrete, ConcreteLoc, Store
 
 
 def run_cli(capsys, *argv):
@@ -127,6 +129,27 @@ class TestRunPar:
                                "--mode", "par", "--threads", "2")
         assert code == 0 and out.startswith("value at (")
 
+    def test_threads_check_wf_every_step(self, capsys, monkeypatch):
+        # threads mode calls the check after every action, like a schedule
+        calls = [0]
+        check = P.check_wellformed
+
+        def counted(tts, ts, ctx):
+            calls[0] += 1
+            return check(tts, ts, ctx)
+
+        monkeypatch.setattr(P, "check_wellformed", counted)
+        argv = ("run", str(EXAMPLES / "buildtree.lcp"), "--mode", "par",
+                "--threads", "2", "--check-wf-every-step")
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and calls[0] > 0
+        monkeypatch.setattr(P, "check_wellformed",
+                            lambda tts, ts, ctx: ["planted violation"])
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert diags(err) == [{"severity": "error", "code": "WellFormedness",
+                               "message": "planted violation"}]
+
     def test_threads_trace_replays(self, capsys, tmp_path):
         trace = tmp_path / "threads.jsonl"
         prog = str(EXAMPLES / "buildtree.lcp")
@@ -177,6 +200,20 @@ class TestExplore:
         assert diags(err) == [{"severity": "error",
                                "code": "ResourceExhausted",
                                "message": "more than 10 states"}]
+
+    def test_incomplete_terminal_exits_2(self, capsys, monkeypatch):
+        # a terminal whose value cannot be read back is a runtime fault,
+        # reported as one JSON line, not a traceback
+        def incomplete(tp, bound, wf_callback=None):
+            root = ConcreteLoc("r%0", Concrete(0))
+            yield P.Terminal([], S.ConcreteLocVal(root), Store())
+
+        monkeypatch.setattr(P, "enumerate_schedules", incomplete)
+        code, out, err = run_cli(capsys, "run", str(EXAMPLES / "buildtree.lcp"),
+                                 "--mode", "explore", "--fork-bound", "1")
+        assert (code, out) == (2, "")
+        assert diags(err) == [{"severity": "error", "code": "IncompleteValue",
+                               "message": "missing cell at (r%0, 0)"}]
 
 
 class TestBench:

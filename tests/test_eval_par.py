@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import GOOD_EXAMPLES, bench_source
 from locpar import eval_par as P
 from locpar import syntax as S
-from locpar.eval_seq import (Env, SemanticsError, SeqState, Stepped, blocked_on,
+from locpar.eval_seq import (Env, SemanticsError, SeqState, blocked_on,
                              run_seq, step_seq, verify_frontier_notes)
 from locpar.store import (Concrete, ConcreteLoc, Indirection, IndirectionCell,
                           Ivar, Scalar, Store, Tag)
@@ -105,6 +105,22 @@ class TestTraceReplay:
         assert first.store.dump() == replay.store.dump()
         assert metrics_of(first) == metrics_of(replay)
 
+    def test_refusals(self, load_program):
+        # a trace that runs out, or names an action that is not enabled,
+        # stops the run at that step
+        tp = load_program("constfold.lcp")
+        decisions = P.run_par(tp, P.random_schedule(7)).metrics["decisions"]
+        with pytest.raises(SemanticsError) as ei:
+            P.run_par(tp, P.trace_schedule(decisions[:5]))
+        assert (ei.value.code, ei.value.message) == \
+            ("Stuck", "trace exhausted at step 5")
+        bad = [*decisions[:3], {"step": 3, "task": 99, "action": "step"}]
+        with pytest.raises(SemanticsError) as ei:
+            P.run_par(tp, P.trace_schedule(bad))
+        assert ei.value.code == "Stuck"
+        assert ei.value.message.startswith(
+            "trace step 3 wants ('step', 99), enabled [")
+
 
 class TestWellFormedness:
     def test_holds_at_every_state(self, load_program):
@@ -194,7 +210,7 @@ def buildtree_mid_run():
     leaf cells in the root's store, and two continuation regions."""
     m = P.Machine(bench_program("buildtree", 2))
     for _ in range(30):
-        m.apply(P.choose_action(P.always_fork(), m.enabled(), 0))
+        m.apply(P.always_fork()(m))
     return m
 
 
@@ -362,7 +378,7 @@ def assert_ready_set_matches_rescan(tp, make_schedule):
                                        for iv in task.holds)
         if not actions:
             break
-        m.apply(P.choose_action(sched, actions, len(m.decisions)))
+        m.apply(sched(m))
     assert m.finished()
     res = P.run_par(tp, make_schedule())
     assert res.metrics["decisions"] == m.decisions
@@ -449,12 +465,11 @@ class TestBlockedOn:
                             continue
                         wait = blocked_on(task.state)
                         if wait is None:
-                            res = step_seq(m.ctx.copy(), task.state.copy())
-                            assert isinstance(res, Stepped), (task.tid, res)
+                            step_seq(m.ctx.copy(), task.state.copy())
                         else:
                             assert wait[0] in task.holds
                             assert m.ts.producer(wait[0]) is not None
-                    m.apply(P.choose_action(sched, actions, len(m.decisions)))
+                    m.apply(sched(m))
                 assert m.finished()
 
     def test_states_are_copied_only_where_futures_split(self, load_program,
@@ -479,8 +494,8 @@ class TestBlockedOn:
         # since its last fork, when parent and child start sharing them
         held: dict = {}
         m = P.Machine(load_program("buildtree.lcp"))
-        while actions := m.enabled():
-            act = P.choose_action(P.always_fork(), actions, len(m.decisions))
+        sched = P.always_fork()
+        while (act := sched(m)) is not None:
             child = m.apply(act)
             for task in m.ts.tasks.values():
                 split = child is not None and task.tid in (act[1], child.tid)
@@ -511,7 +526,7 @@ class TestTwoWaiters:
         # waiter, and a state without it is a different state
         m = P.Machine(two_waiters())
         while not m.ts.joined:
-            m.apply(P.choose_action(P.always_fork(), m.enabled(), 0))
+            m.apply(P.always_fork()(m))
         c = m.copy()
         c.ts.joined.clear()
         assert P.canonical_hash(c.ts) != P.canonical_hash(m.ts)

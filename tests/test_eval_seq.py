@@ -7,8 +7,9 @@ import pytest
 from conftest import GOOD_EXAMPLES, bench_source
 from locpar import eval_par as P
 from locpar import eval_seq as E
+from locpar import store as ST
 from locpar import syntax as S
-from locpar.eval_seq import (RunContext, SemanticsError, SeqState, Value,
+from locpar.eval_seq import (RunContext, SemanticsError, SeqState,
                              run_seq, step_seq, verify_frontier_notes)
 from locpar.store import Decls, IndirectionCell, Scalar, Store, Tag
 from locpar.typecheck import typecheck_program
@@ -200,13 +201,14 @@ class TestRefocusing:
         tp = load_program(name)
         ctx, st = RunContext(tp), SeqState(Store(), {}, tp.program.main)
         assert_decomposed(st)
-        while not isinstance(step_seq(ctx, st), Value):
+        while not st.complete():
+            step_seq(ctx, st)
             assert_decomposed(st)
         for implicit in (False, True):
             for sched in [P.always_fork()] + [P.random_schedule(k) for k in range(5)]:
                 m = P.Machine(tp, implicit_par=implicit)
-                while actions := m.enabled():
-                    m.apply(P.choose_action(sched, actions, len(m.decisions)))
+                while (act := sched(m)) is not None:
+                    m.apply(act)
                     for task in m.ts.tasks.values():
                         assert_decomposed(task.state)
 
@@ -220,6 +222,22 @@ class TestRefocusing:
         assert packed[0] == 0
         assert verify_frontier_notes(tp.decls, res.state) == []
         assert packed[0] > 0  # the count sees the module's scans
+
+    @pytest.mark.parametrize("name", ["buildtree", "add1tree"])
+    def test_joins_read_value_ends_from_notes(self, monkeypatch, name):
+        # a join links a field to its successor one past the field's end,
+        # which the field's frontier note tells without a scan
+        tp = typecheck_program(S.parse_program(bench_source(name, 6)))
+        seq, par, store = [count_calls(monkeypatch, mod, "end_witness",
+                                       lambda decls, tau, *rest: tau != "Int")
+                           for mod in (E, P, ST)]
+        for sched in (P.always_fork(), P.random_schedule(3)):
+            res = P.run_par(tp, sched)
+            assert res.metrics["indirections"] > 0
+            assert seq[0] == par[0] == store[0] == 0
+            assert verify_frontier_notes(tp.decls, res.state) == []
+            assert seq[0] > 0  # the count sees the module's scans
+            seq[0] = 0
 
     def test_plugs_per_step_do_not_grow_with_depth(self, monkeypatch):
         plugs = count_calls(monkeypatch, E, "_plug")
@@ -248,7 +266,8 @@ class TestHeapOwnership:
         tp = typecheck_program(S.parse_program(bench_source("spine", 500)))
         ctx, st = RunContext(tp), SeqState(Store(), {}, tp.program.main)
         heaps = {}
-        while not isinstance(step_seq(ctx, st), Value):
+        while not st.complete():
+            step_seq(ctx, st)
             for r, heap in st.store.regions.items():
                 assert heaps.setdefault(r, heap) is heap, r
         assert sum(map(len, heaps.values())) == ctx.metrics["cells_written"] > 500

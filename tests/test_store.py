@@ -10,7 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from locpar import store as ST
 from locpar.store import (
     Concrete, ConcreteLoc, Decls, Indirection, IndirectionCell, Ivar,
-    Scalar, Store, StoreError, Tag,
+    Scalar, Store, SemanticsError, Tag,
 )
 
 TREE_DECLS = Decls({
@@ -47,7 +47,7 @@ class TestWriteOnce:
     def test_conflicting_rewrite_rejected(self):
         s = new_store("r")
         ST.write_cell(s, "r", 0, Tag("Lit"))
-        with pytest.raises(StoreError):
+        with pytest.raises(SemanticsError):
             ST.write_cell(s, "r", 0, Tag("Plus"))
         assert s.cell("r", 0) == Tag("Lit")
 
@@ -58,7 +58,7 @@ class TestWriteOnce:
         assert s.cell("r", 0) == Tag("Lit")
 
     def test_write_to_missing_region_rejected(self):
-        with pytest.raises(StoreError):
+        with pytest.raises(SemanticsError):
             ST.write_cell(Store(), "nope", 0, Scalar(1))
 
     @given(st.lists(st.integers(min_value=0, max_value=30),
@@ -68,7 +68,7 @@ class TestWriteOnce:
         seen = set()
         for i in idxs:
             if i in seen:
-                with pytest.raises(StoreError):
+                with pytest.raises(SemanticsError):
                     ST.write_cell(s, "r", i, Scalar(i + 1))
             else:
                 ST.write_cell(s, "r", i, Scalar(i))
@@ -112,14 +112,14 @@ class TestEndWitness:
 
     def test_incomplete_value_raises(self):
         s = write_all(new_store("r"), "r", [Tag("Plus")])
-        with pytest.raises(StoreError):
+        with pytest.raises(SemanticsError):
             ST.end_witness(EXP_DECLS, "Exp", "r", 0, s)
 
     def test_indirection_cycle_raises(self):
         s = new_store("r", "r2")
         ST.write_cell(s, "r", 0, IndirectionCell("r2", 0))
         ST.write_cell(s, "r2", 0, IndirectionCell("r", 0))
-        with pytest.raises(StoreError) as ei:
+        with pytest.raises(SemanticsError) as ei:
             ST.end_witness(EXP_DECLS, "Exp", "r", 0, s)
         assert ei.value.code == "IndirectionCycle"
 
@@ -138,7 +138,7 @@ class TestEndWitness:
                         ("r", 3): ("r", 5)}
         # an entry stands for its whole sub-value, which is not read again:
         # a wrong one sends the scan past the value's last cell
-        with pytest.raises(StoreError):
+        with pytest.raises(SemanticsError):
             ST.end_witness(EXP_DECLS, "Exp", "r", 0, s, {("r", 1): ("r", 9)})
 
 
@@ -167,7 +167,7 @@ class TestMerge:
     def test_conflicting_overlap_rejected(self):
         a = write_all(new_store("r"), "r", [Scalar(1)])
         b = write_all(new_store("r"), "r", [Scalar(2)])
-        with pytest.raises(StoreError):
+        with pytest.raises(SemanticsError):
             ST.merge_store(a, b)
 
     def test_copies_share_no_writes(self):
@@ -195,7 +195,7 @@ class TestMerge:
         m = dict(m1)
         ST.merge_locmap(m, dict(m1))
         assert m["l"].ext == Concrete(0)
-        with pytest.raises(StoreError):
+        with pytest.raises(SemanticsError):
             ST.merge_locmap(m1, m2)
 
     def test_locmap_merge_prefers_concrete_to_ivar(self):
@@ -231,7 +231,7 @@ class StoreAgainstModel(RuleBasedStateMachine):
     def add_region(self, k, r):
         s, model = self.pick(k)
         if r in model:
-            with pytest.raises(StoreError):
+            with pytest.raises(SemanticsError):
                 s.add_region(r)
         else:
             s.add_region(r)
@@ -242,7 +242,7 @@ class StoreAgainstModel(RuleBasedStateMachine):
         s, model = self.pick(k)
         old = model.get(r, {}).get(i)
         if r not in model or old not in (None, hv):
-            with pytest.raises(StoreError):
+            with pytest.raises(SemanticsError):
                 ST.write_cell(s, r, i, hv)
         else:
             assert ST.write_cell(s, r, i, hv) == (old is None)
@@ -264,7 +264,7 @@ class StoreAgainstModel(RuleBasedStateMachine):
             for i, hv in heap.items():
                 conflict |= mine.setdefault(i, hv) != hv
         if conflict:
-            with pytest.raises(StoreError):
+            with pytest.raises(SemanticsError):
                 ST.merge_store(dst, src)
             # a failed merge may leave its destination half merged
             del self.live[k % len(self.live)]
