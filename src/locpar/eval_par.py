@@ -12,8 +12,8 @@ and the producing task has run to completion.  A join merges the producer's
 store and location map into the consumer, replaces the ivar with the
 producer's concrete result address in the consumer's values (the focus, the
 frames' evaluated children, the environments' bindings; no code is
-rewritten), and, for a constructor join, stitches the next field in with an
-indirection cell when it was allocated into a fresh region.  A joined
+rewritten).  A join writes no cell: a field that was allocated into a fresh
+region is linked in by the constructor that holds it.  A joined
 producer stays available while a live task holds its ivar, so every waiter
 on one ivar can join it; per-ivar holder counts tell when none does.
 
@@ -40,10 +40,10 @@ from dataclasses import dataclass, field as dcfield
 from . import syntax as S
 from .store import (Store, ConcreteLoc, Concrete, Ivar, Indirection,
                     Tag, Scalar, IndirectionCell, SemanticsError,
-                    deref_concrete, end_witness, alloc_frontier,
-                    merge_store, merge_locmap, write_cell)
-from .eval_seq import (SeqState, Env, RunContext, step_seq, value_end,
-                       RunResult, blocked_on)
+                    deref_concrete, end_witness, resolve_links, alloc_frontier,
+                    merge_store, merge_locmap)
+from .eval_seq import (SeqState, Env, RunContext, step_seq, RunResult,
+                       blocked_on)
 
 
 ### tasks
@@ -75,11 +75,6 @@ class TaskSet:
     # ivar, so that every other waiter on it can join it too
     joined: dict[str, Task] = dcfield(default_factory=dict)
     holders: dict[str, int] = dcfield(default_factory=dict)  # ivar -> live tasks holding it
-
-    def ordered(self) -> list[Task]:
-        """The live tasks in task order: tids only grow, so that is the
-        order they were inserted in."""
-        return list(self.tasks.values())
 
     def root(self) -> Task:
         return self.tasks[0]
@@ -135,26 +130,24 @@ def _value_ivar(task: Task) -> str | None:
 
 
 def _task_actions(ctx: RunContext, ts: TaskSet,
-                  task: Task) -> tuple[list[Action], tuple[str, str] | None]:
+                  task: Task) -> tuple[list[Action], str | None]:
     """One task's enabled actions (fork, step, join order) and its wait.
 
-    The wait is the (ivar, why) the task needs joined: the ivar its redex is
-    blocked on, or the ivar that is its finished value ('value').  The join
-    is enabled once that ivar's producer has completed.
+    The wait is the ivar the task needs joined: the ivar its redex is
+    blocked on, or the ivar that is its finished value.  The join is
+    enabled once that ivar's producer has completed.
     """
     acts: list[Action] = []
     wait = None
     if task.complete():
-        iv = _value_ivar(task)
-        if iv is not None:
-            wait = (iv, "value")
+        wait = _value_ivar(task)
     else:
         if _spawn_redex(ctx, task) is not None:
             acts.append(("fork", task.tid))
         wait = blocked_on(task.state)
         if wait is None:
             acts.append(("step", task.tid))
-    if wait is not None and _join_ready(ts, wait[0]):
+    if wait is not None and _join_ready(ts, wait):
         acts.append(("join", task.tid))
     return acts, wait
 
@@ -203,8 +196,7 @@ def _fork(ctx: RunContext, ts: TaskSet, parent: Task) -> Task:
     return child
 
 
-def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
-                need: tuple[str, str]) -> None:
+def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task, iv: str) -> None:
     """Merge the producer of the needed ivar into the consumer, in place;
     the producer's state is not written, so every other waiter can join it.
 
@@ -212,7 +204,6 @@ def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
     joined producer is dropped once no live task holds its ivar, which the
     per-ivar holder counts tell without a scan of the tasks.
     """
-    iv, why = need
     prod = ts.producer(iv)
     ploc = prod.state.focus.loc
     assert isinstance(ploc.ext, Concrete)
@@ -241,8 +232,6 @@ def _apply_join(ctx: RunContext, ts: TaskSet, consumer: Task,
     ts.hold(dropped, -1)
     ts.hold(holds - consumer.holds, 1)
     consumer.holds = holds
-    if why == "datacon":
-        _join_link_fields(ctx, cst)
     if ts.registry.get(iv) == prod.tid:
         del ts.tasks[prod.tid]
         del ts.registry[iv]
@@ -279,33 +268,6 @@ def _resolve_ivar(st: SeqState, iv: str, to: ConcreteLoc) -> None:
     st.args = tuple(map(val, st.args))
     st.frames = [(node, env(fenv), tuple(map(val, vals)))
                  for node, fenv, vals in st.frames]
-
-
-def _join_link_fields(ctx: RunContext, cst: SeqState) -> None:
-    """After a constructor join, stitch each resolved field to its successor:
-    when field k+1 was allocated into a fresh region, write an indirection
-    to it one past the end of field k, which its frontier note tells."""
-    e, fields = cst.focus, cst.args
-    if not isinstance(e, S.DataCon):
-        return
-    ftys = ctx.decls.fields(e.tag)
-    for k, (fty, fv) in enumerate(zip(ftys, fields)):
-        if fty == "Int" or k + 1 >= len(fields):
-            continue
-        if not isinstance(fv, S.ConcreteLocVal) or isinstance(fv.loc.ext, Ivar):
-            continue
-        nxt = fields[k + 1]
-        if not isinstance(nxt, S.ConcreteLocVal) or nxt.loc.origin is None:
-            continue
-        link = cst.locmap.get(nxt.loc.origin)
-        if link is None or not isinstance(link.ext, Indirection):
-            continue
-        cl = deref_concrete(fv.loc)
-        r, end = value_end(ctx, cst, fty, cl.region, cl.ext.index)
-        if write_cell(cst.store, r, end,
-                      IndirectionCell(link.ext.region, link.ext.index)):
-            ctx.metrics["indirections"] += 1
-            ctx.metrics["cells_written"] += 1
 
 
 ### schedules
@@ -389,7 +351,7 @@ class Machine:
         self.peak = 1
         # tid -> enabled actions; tids only grow, so insertion order is task order
         self.actions: dict[int, list[Action]] = {}
-        self.waits: dict[int, tuple[str, str]] = {}  # tid -> (ivar, why) it needs
+        self.waits: dict[int, str] = {}  # tid -> the ivar it needs joined
         self._waiters: dict[str, set[int]] = {}  # ivar -> tids whose wait is on it
         self._refresh(root)
 
@@ -411,7 +373,7 @@ class Machine:
     def rescan(self) -> list[Action]:
         """`enabled()` recomputed from every task without the cache: the
         reference the incremental ready set must agree with."""
-        return [a for task in self.ts.ordered()
+        return [a for task in self.ts.tasks.values()
                 for a in _task_actions(self.ctx, self.ts, task)[0]]
 
     def finished(self) -> bool:
@@ -439,14 +401,14 @@ class Machine:
             self._refresh(task)
             self._refresh(child)
         else:
-            need = self.waits[tid]
-            ptid = ts.registry.get(need[0])
-            _apply_join(self.ctx, ts, task, need)
+            iv = self.waits[tid]
+            ptid = ts.registry.get(iv)
+            _apply_join(self.ctx, ts, task, iv)
             if ptid is not None:  # the first join on this ivar
                 del self.actions[ptid]
                 self._forget(ptid)
             self._refresh(task)
-            self._wake(need[0])
+            self._wake(iv)
         if task.complete() and task.target is not None \
                 and isinstance(task.target.ext, Ivar):
             self._wake(task.target.ext.name)
@@ -462,7 +424,7 @@ class Machine:
         # merged into a fresh store and map, so no task's state changes
         final = root.state.copy()
         final.store, final.locmap = Store(), {}
-        for task in self.ts.ordered():
+        for task in self.ts.tasks.values():
             merge_store(final.store, task.state.store)
             merge_locmap(final.locmap, task.state.locmap)
         metrics = dict(self.ctx.metrics)
@@ -474,14 +436,14 @@ class Machine:
     def _forget(self, tid: int) -> None:
         old = self.waits.pop(tid, None)
         if old is not None:
-            self._waiters[old[0]].discard(tid)
+            self._waiters[old].discard(tid)
 
     def _refresh(self, task: Task) -> None:
         self._forget(task.tid)
         self.actions[task.tid], wait = _task_actions(self.ctx, self.ts, task)
         if wait is not None:
             self.waits[task.tid] = wait
-            self._waiters.setdefault(wait[0], set()).add(task.tid)
+            self._waiters.setdefault(wait, set()).add(task.tid)
 
     def _wake(self, iv: str) -> None:
         for tid in sorted(self._waiters.get(iv, ())):
@@ -508,7 +470,7 @@ def check_wellformed(tts, ts: TaskSet, ctx: RunContext) -> list[str]:
     v: list[str] = []
     # each ivar has exactly one producing task
     producers: dict[str, list[int]] = {}
-    for task in ts.ordered():
+    for task in ts.tasks.values():
         if task.target is not None and isinstance(task.target.ext, Ivar):
             producers.setdefault(task.target.ext.name, []).append(task.tid)
     for iv, tids in producers.items():
@@ -519,7 +481,7 @@ def check_wellformed(tts, ts: TaskSet, ctx: RunContext) -> list[str]:
     for iv, tid in ts.registry.items():
         if tid not in ts.tasks:
             v.append(f"singlewriter: registry names dead task {tid} for {iv}")
-    for task in ts.ordered():
+    for task in ts.tasks.values():
         st = task.state
         label = f"task {task.tid}"
         # the store does not change during the check, so the task's scans
@@ -579,39 +541,32 @@ def _check_constraints(ctx: RunContext, task: Task, ends: dict) -> list[str]:
 
 def _check_after_constraint(ctx: RunContext, task: Task, l: str,
                             le: S.AfterValue, ends: dict) -> list[str]:
-    # exactly one of three must hold: the location is still an ivar, it is an
-    # indirection to the start of a fresh region, or it sits exactly at the
-    # end witness of the value it follows
+    # one of three must hold, and they exclude each other: the location is
+    # still an ivar, it is an indirection to the start of a fresh region, or
+    # it is concrete and sits at the end witness of the value it follows,
+    # past the link stored there
     st = task.state
-    label = f"task {task.tid}"
     cl = st.locmap.get(l)
-    holds = []
-    if isinstance(cl.ext, Ivar):
-        holds.append("ivar")
-    if isinstance(cl.ext, Indirection) and cl.ext.index == 0:
-        holds.append("indirection")
     src = st.locmap.get(le.ty.loc)
-    if src is not None and not isinstance(src.ext, Ivar) \
-            and isinstance(cl.ext, Concrete) and le.ty.loc in st.sigma:
+    if isinstance(cl.ext, Ivar):
+        return []
+    if isinstance(cl.ext, Indirection):
+        holds = cl.ext.index == 0
+    elif le.ty.loc not in st.sigma or src is None or isinstance(src.ext, Ivar):
+        # one past a value still under construction: satisfied pending
+        # completion, and checked once the source materializes
+        holds = True
+    else:
         ds = deref_concrete(src)
         try:
-            r_end, end = end_witness(ctx.decls, le.ty.tycon,
-                                     ds.region, ds.ext.index, st.store, ends)
-            if (cl.region, cl.ext.index) == (r_end, end):
-                holds.append("end-witness")
+            r, i, _ = resolve_links(st.store, *end_witness(
+                ctx.decls, le.ty.tycon, ds.region, ds.ext.index, st.store, ends))
+            holds = (cl.region, cl.ext.index) == (r, i)
         except SemanticsError:
-            pass
-    if isinstance(cl.ext, Concrete) and (le.ty.loc not in st.sigma
-                                         or src is None
-                                         or isinstance(src.ext, Ivar)):
-        # concrete address one past a value still under construction: counts
-        # as satisfying the constraint pending completion, checked when the
-        # source materializes
-        holds.append("end-witness")
-    if len(holds) != 1:
-        v = [f"{label}: after-constraint on {l} holds as {holds or 'nothing'}"]
-        return v
-    return []
+            holds = False
+    if holds:
+        return []
+    return [f"task {task.tid}: after-constraint on {l} holds as nothing"]
 
 
 def _check_allocation(ctx: RunContext, task: Task, ends: dict) -> list[str]:
@@ -685,7 +640,7 @@ def _check_allocation(ctx: RunContext, task: Task, ends: dict) -> list[str]:
 def _check_region_exclusivity(ts: TaskSet) -> list[str]:
     claimed: dict[str, int] = {}
     v: list[str] = []
-    for task in ts.ordered():
+    for task in ts.tasks.values():
         r = _pending_write_region(task)
         if r is None:
             continue
@@ -872,7 +827,7 @@ def canonical_hash(ts: TaskSet) -> int:
             add((name(l), loc(st.locmap[l])))
 
     out.append(len(ts.tasks))
-    for t in ts.ordered():
+    for t in ts.tasks.values():
         task(t)
     # a live task holds every joined ivar, so each already has its name
     for iv in sorted(ts.joined, key=name):
@@ -927,13 +882,13 @@ def run_threads(tp, max_workers: int, opts: dict | None = None) -> RunResult:
                 wait = m.waits.get(tid)
                 if wait is None:
                     return  # complete
-                ptid = m.ts.registry.get(wait[0])
+                ptid = m.ts.registry.get(wait)
             if ptid is None:
-                raise SemanticsError("Stuck", f"no producer for ivar {wait[0]}")
+                raise SemanticsError("Stuck", f"no producer for ivar {wait}")
             take(ptid)
             done[ptid].wait()
             if ptid in failed:
-                raise SemanticsError("Stuck", f"producer of ivar {wait[0]} failed")
+                raise SemanticsError("Stuck", f"producer of ivar {wait} failed")
 
     def take(tid: int) -> None:
         with lock:

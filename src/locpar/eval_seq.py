@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dcfield
 
 from . import syntax as S
 from .store import (Store, LocationMap, ConcreteLoc, Concrete, Ivar, Indirection,
-                    Tag, Scalar, Decls, SemanticsError,
+                    Tag, Scalar, IndirectionCell, Decls, SemanticsError,
                     deref_location, deref_concrete, end_witness,
                     resolve_links, write_cell)
 
@@ -211,28 +211,24 @@ def step_seq(ctx: RunContext, st: SeqState) -> str:
     return rule
 
 
-def blocked_on(st: SeqState) -> tuple[str, str] | None:
-    """The (ivar, why) whose producer must be joined before `st` can step.
-
-    `why` names the rule that needs the ivar's address: 'letloc' for
-    `l + 1` where l maps to an ivar, 'datacon' for an ivar target or field,
-    'case' for an ivar scrutinee.  None when the step can be taken (or is
-    stuck for another reason, which the step reports).
-    """
+def blocked_on(st: SeqState) -> str | None:
+    """The ivar whose producer must be joined before `st` can step: the
+    ivar that `l + 1` finds at l, a constructor's target or field, or a
+    case scrutinee.  None when the step can be taken (or is stuck for
+    another reason, which the step reports)."""
     e, env = st.focus, st.env
     if isinstance(e, S.LetLoc) and isinstance(e.locexpr, S.AfterTag):
-        locs, why = [st.locmap.get(env.loc(e.locexpr.loc))], "letloc"
+        locs = [st.locmap.get(env.loc(e.locexpr.loc))]
     elif isinstance(e, S.DataCon):
         locs = [st.locmap.get(env.loc(e.loc))] + [
             f.loc for f in st.args if isinstance(f, S.ConcreteLocVal)]
-        why = "datacon"
     elif isinstance(e, S.Case) and isinstance(st.args[0], S.ConcreteLocVal):
-        locs, why = [st.args[0].loc], "case"
+        locs = [st.args[0].loc]
     else:
         return None
     for cl in locs:
         if cl is not None and isinstance(cl.ext, Ivar):
-            return cl.ext.name, why
+            return cl.ext.name
     return None
 
 
@@ -310,7 +306,7 @@ def _rule_letloc(ctx: RunContext, st: SeqState, e: S.LetLoc, env: Env) -> Next:
             ctx.metrics["extra_regions"] += 1
             return e.body, body_env, "D-LetLoc-After-NewReg"
         src = deref_concrete(src_cl)
-        r_end, end = value_end(ctx, st, le.ty.tycon, src.region, src.ext.index)
+        r_end, end = _value_end(ctx, st, le.ty.tycon, src.region, src.ext.index)
         cl = ConcreteLoc(r_end, Concrete(end), l)
         alloc_region = r_end
         rule = "D-LetLoc-After"
@@ -359,11 +355,10 @@ def _rule_primop(e: S.PrimOp, args: tuple, env: Env) -> Next:
     return S.IntLit(v), env, "D-PrimOp"
 
 
-def value_end(ctx: RunContext, st: SeqState, tau: str, r: str,
-              i: int) -> tuple[str, int]:
+def _value_end(ctx: RunContext, st: SeqState, tau: str, r: str,
+               i: int) -> tuple[str, int]:
     """One past the packed value of type tau at (r, i), after its links:
-    its frontier note, or a fresh scan when there is none (or no tag of tau).
-    Steps and the task machine's joins both find value ends here."""
+    its frontier note, or a fresh scan when there is none (or no tag of tau)."""
     r, i, hv = resolve_links(st.store, r, i)
     note = st.frontier_notes.get((r, i))
     if note is not None and isinstance(hv, Tag) and ctx.decls.tycon_of(hv.name) == tau:
@@ -372,6 +367,10 @@ def value_end(ctx: RunContext, st: SeqState, tau: str, r: str,
 
 
 def _rule_datacon(ctx: RunContext, st: SeqState, e: S.DataCon, env: Env) -> Next:
+    """Write the tag and the scalar fields around the packed fields, which
+    are already written.  A packed field that was displaced into a fresh
+    region (D-LetLoc-After-NewReg) is linked in here: an indirection cell
+    at the end of the field before it points at the field's start."""
     l = env.loc(e.loc)
     target = deref_location(st.locmap, l)
     ftys = ctx.decls.fields(e.tag)
@@ -389,9 +388,14 @@ def _rule_datacon(ctx: RunContext, st: SeqState, e: S.DataCon, env: Env) -> Next
             ctx.metrics["cells_written"] += 1
             cur += 1
         else:
-            # the field value was written earlier; the cell at the cursor is
-            # either its first cell or an indirection stitched in by a join
-            cur_r, cur = value_end(ctx, st, fty, cur_r, cur)
+            link = st.locmap.get(fv.loc.origin) \
+                if isinstance(fv, S.ConcreteLocVal) else None
+            if link is not None and isinstance(link.ext, Indirection) \
+                    and write_cell(st.store, cur_r, cur,
+                                   IndirectionCell(link.ext.region, link.ext.index)):
+                ctx.metrics["indirections"] += 1
+                ctx.metrics["cells_written"] += 1
+            cur_r, cur = _value_end(ctx, st, fty, cur_r, cur)
     st.sigma[l] = S.PackedType(ctx.decls.tycon_of(e.tag), l, env.reg(e.region))
     st.nursery.discard(l)
     st.allocsites[r] = l
@@ -463,7 +467,7 @@ def _rule_case(ctx: RunContext, st: SeqState, e: S.Case, env: Env) -> Next:
                         S.PackedType(prev[0], prev[1], cl.region))
             prev = (fty, ploc)
         cur_r, cur = (fr, fi + 1) if fty == "Int" \
-            else value_end(ctx, st, fty, fr, fi)
+            else _value_end(ctx, st, fty, fr, fi)
     return chosen.body, env.bind(vars=vm, locs=lm), "D-Case"
 
 

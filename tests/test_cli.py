@@ -124,6 +124,20 @@ class TestRunPar:
                              "--check-wf-every-step")
         assert code == 0
 
+    def test_implicit_wf_checks_follow_links(self, capsys):
+        # a case binding resolved through a link meets its after-constraint
+        code, _, err = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),
+                               "--mode", "par", "--schedule", "always",
+                               "--implicit-par", "--check-wf-every-step")
+        assert (code, err) == (0, "")
+
+    def test_case_before_construct(self, capsys):
+        # the case joins the spawned left subtree before the constructor,
+        # which then links the displaced right subtree itself
+        code, out, err = run_cli(capsys, "run", str(EXAMPLES / "peekleft.lcp"),
+                                 "--mode", "par", "--schedule", "always")
+        assert (code, out, err) == (0, "value at (r%0, 0)\n", "")
+
     def test_threads(self, capsys):
         code, out, _ = run_cli(capsys, "run", str(EXAMPLES / "constfold.lcp"),
                                "--mode", "par", "--threads", "2")
@@ -175,6 +189,12 @@ class TestExplore:
         payload = json.loads(out.splitlines()[-1])
         assert payload["terminals"] >= 2
         assert payload["distinct_values"] == 1
+
+    def test_case_before_construct(self, capsys):
+        code, out, err = run_cli(capsys, "run", str(EXAMPLES / "peekleft.lcp"),
+                                 "--mode", "explore", "--fork-bound", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"terminals": 6, "distinct_values": 1}
 
     def test_let_bound_main(self, capsys, tmp_path):
         # main's value is flattened at the type the checker gave main, here

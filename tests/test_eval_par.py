@@ -13,7 +13,8 @@ from locpar import syntax as S
 from locpar.eval_seq import (Env, SemanticsError, SeqState, blocked_on,
                              run_seq, step_seq, verify_frontier_notes)
 from locpar.store import (Concrete, ConcreteLoc, Indirection, IndirectionCell,
-                          Ivar, Scalar, Store, Tag)
+                          Ivar, Scalar, Store, Tag, deref_concrete,
+                          end_witness)
 from locpar.typecheck import typecheck_program
 
 
@@ -144,6 +145,53 @@ class TestWellFormedness:
 
         P.run_par(tp, P.random_schedule(0), {"wf_callback": wf_cb})
         assert flagged == []
+
+    @pytest.mark.parametrize("name", GOOD_EXAMPLES)
+    def test_holds_after_every_scheduled_action(self, load_program, name):
+        tp = load_program(name)
+        for implicit in (False, True):
+            for mk in (P.never_fork, P.always_fork):
+                flagged = []
+
+                def wf_cb(ctx, ts):
+                    flagged.extend(P.check_wellformed(tp, ts, ctx))
+
+                P.run_par(tp, mk(), {"implicit_par": implicit,
+                                     "wf_callback": wf_cb})
+                assert flagged == [], (mk.__name__, implicit)
+
+    def test_after_constraint_follows_the_link_at_the_end(self, load_program):
+        # a case binding that follows a displaced field sits where the link
+        # at the end of the field before it points; one cell on is flagged
+        tp = load_program("constfold.lcp")
+
+        def linked_binding(m):
+            for task in m.ts.tasks.values():
+                st = task.state
+                for l, le in st.constraints.items():
+                    if not isinstance(le, S.AfterValue) \
+                            or le.ty.loc not in st.sigma:
+                        continue
+                    cl, src = st.locmap[l], st.locmap[le.ty.loc]
+                    if isinstance(cl.ext, Concrete) \
+                            and not isinstance(src.ext, Ivar):
+                        src = deref_concrete(src)
+                        end = end_witness(tp.decls, le.ty.tycon, src.region,
+                                          src.ext.index, st.store)
+                        if end != (cl.region, cl.ext.index):
+                            return task, l, cl, end
+            return None
+
+        m, sched = P.Machine(tp, implicit_par=True), P.always_fork()
+        while (found := linked_binding(m)) is None:
+            m.apply(sched(m))
+        task, l, cl, end = found
+        assert isinstance(task.state.store.cell(*end), IndirectionCell)
+        assert P.check_wellformed(tp, m.ts, m.ctx) == []
+        task.state.locmap[l] = ConcreteLoc(cl.region,
+                                           Concrete(cl.ext.index + 1), l)
+        assert f"task {task.tid}: after-constraint on {l} holds as nothing" \
+            in P.check_wellformed(tp, m.ts, m.ctx)
 
 
 class TestEnumeration:
@@ -467,8 +515,8 @@ class TestBlockedOn:
                         if wait is None:
                             step_seq(m.ctx.copy(), task.state.copy())
                         else:
-                            assert wait[0] in task.holds
-                            assert m.ts.producer(wait[0]) is not None
+                            assert wait in task.holds
+                            assert m.ts.producer(wait) is not None
                     m.apply(sched(m))
                 assert m.finished()
 

@@ -225,8 +225,9 @@ class TestRefocusing:
 
     @pytest.mark.parametrize("name", ["buildtree", "add1tree"])
     def test_joins_read_value_ends_from_notes(self, monkeypatch, name):
-        # a join links a field to its successor one past the field's end,
-        # which the field's frontier note tells without a scan
+        # the constructor rule links a displaced field in one past the end
+        # of the field before it, which that field's frontier note tells
+        # without a scan
         tp = typecheck_program(S.parse_program(bench_source(name, 6)))
         seq, par, store = [count_calls(monkeypatch, mod, "end_witness",
                                        lambda decls, tau, *rest: tau != "Int")

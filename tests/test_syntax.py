@@ -90,7 +90,7 @@ class TestBinderNumbers:
         # a call names binder j of its callee's body base%(n0 + j), in the
         # order the old instantiation drew fresh names
         fds = corpus_fundecls()
-        assert len(fds) == 20
+        assert len(fds) == 21
         for fd in fds:
             first, count = S.number_binders(fd.body)
             assert (first, count) == reference_numbers(fd.body), fd.name
