@@ -273,16 +273,17 @@ def _resolve_ivar(st: SeqState, iv: str, to: ConcreteLoc) -> None:
 ### schedules
 #
 # A schedule is a function of the machine: the action to apply next, or
-# None when no action is enabled.
+# None when no action is enabled.  Each reads the machine's index of its
+# enabled actions instead of listing them.
 
 def never_fork():
     """Never fork: the first enabled step or join, in task order."""
     def choose(m: Machine) -> Action | None:
-        actions = m.enabled()
-        for a in actions:
-            if a[0] != "fork":
-                return a
-        if actions:
+        # a task never has both a step and a join enabled
+        acts = [a for a in (m.first("step"), m.first("join")) if a]
+        if acts:
+            return min(acts, key=lambda a: a[1])
+        if m.first("fork"):
             raise SemanticsError("Stuck", "only fork transitions enabled under NeverFork")
         return None
     return choose
@@ -291,56 +292,101 @@ def never_fork():
 def always_fork():
     """Fork whenever a task can, else step, else join; lowest task first."""
     def choose(m: Machine) -> Action | None:
-        actions = m.enabled()
-        for kind in ("fork", "step", "join"):
-            for a in actions:
-                if a[0] == kind:
-                    return a
-        return None
+        return m.first("fork") or m.first("step") or m.first("join")
     return choose
 
 
 def random_schedule(seed: int):
-    """A uniform draw from the enabled actions, from a generator seeded once."""
+    """A uniform draw from the enabled actions, from a generator seeded once.
+
+    The draw picks a position in `enabled()` without building it:
+    `choice` over a range of the same length takes the same position."""
     rng = random.Random(seed)
 
     def choose(m: Machine) -> Action | None:
-        actions = m.enabled()
-        return rng.choice(actions) if actions else None
+        n = m.count()
+        return m.nth(rng.choice(range(n))) if n else None
     return choose
 
 
 def trace_schedule(decisions: list[dict]):
     """Replay logged decisions ({step, task, action}) one per action."""
     def choose(m: Machine) -> Action | None:
-        actions = m.enabled()
-        if not actions:
+        if not m.count():
             return None
         stepno = len(m.decisions)
         if stepno >= len(decisions):
             raise SemanticsError("Stuck", f"trace exhausted at step {stepno}")
         d = decisions[stepno]
         want = (d["action"], d["task"])
-        if want not in actions:
+        if want not in m.actions.get(d["task"], ()):
             raise SemanticsError("Stuck",
                                  f"trace step {stepno} wants {want}, "
-                                 f"enabled {actions}")
+                                 f"enabled {m.enabled()}")
         return want
     return choose
 
 
 ### the task machine
 
+class _Counts:
+    """Per-tid counts and their prefix sums in a binary indexed tree
+    (Fenwick 1994): changing a count, and finding the tid that holds the
+    k-th counted unit in tid order, each take O(log n) for n slots.  The
+    slots start at 8 and double, so the top node always holds the total."""
+
+    __slots__ = ("sums",)
+
+    def __init__(self, sums: list[int] | None = None):
+        self.sums = sums or [0] * 9  # 1-based: node i ends at tid i - 1
+
+    def copy(self) -> "_Counts":
+        return _Counts(list(self.sums))
+
+    def total(self) -> int:
+        return self.sums[-1]
+
+    def add(self, tid: int, d: int) -> None:
+        s = self.sums
+        n = len(s) - 1
+        while tid >= n:
+            # the doubled tree keeps every node, and its new top the total
+            s += [0] * n
+            s[2 * n] = s[n]
+            n *= 2
+        i = tid + 1
+        while i <= n:
+            s[i] += d
+            i += i & -i
+
+    def find(self, k: int) -> tuple[int, int]:
+        """The tid holding unit k (from 0) in tid order, and k less the
+        units of lower tids; k must be below the total."""
+        s = self.sums
+        pos = 0
+        step = len(s) - 1
+        while step:
+            if s[pos + step] <= k:
+                pos += step
+                k -= s[pos]
+            step >>= 1
+        return pos, k
+
+
 class Machine:
-    """A run's task set with an incremental ready set.
+    """A run's task set with an incremental, indexed ready set.
 
     Each live task's enabled actions and wait (see `_task_actions`) are
     cached.  After an action only these entries are recomputed: the task that
     acted, a newly forked child, and the tasks waiting on an ivar whose
     producer has just completed or been joined (waiters are indexed by
     ivar).  `enabled()` is the cached entries in task order, the same list a
-    rescan of every task builds, so an action costs no more as the number
-    of live tasks grows.  Every applied action is logged in `decisions`.
+    rescan of every task builds.  The schedules do not build that list:
+    per-tid counts of each kind of action, and of all actions, are kept in
+    `_Counts` trees, from which `first(kind)` and `nth(k)` read the lowest
+    task with a kind enabled, and the k-th enabled action in task order, in
+    O(log n) for n task ids minted.  Every applied action is logged in
+    `decisions`.
     """
 
     def __init__(self, tp, implicit_par: bool = False):
@@ -353,6 +399,9 @@ class Machine:
         self.actions: dict[int, list[Action]] = {}
         self.waits: dict[int, str] = {}  # tid -> the ivar it needs joined
         self._waiters: dict[str, set[int]] = {}  # ivar -> tids whose wait is on it
+        # per-tid counts of enabled actions: by kind (0 or 1), and in all
+        self._kinds = {k: _Counts() for k in ("fork", "step", "join")}
+        self._all = _Counts()
         self._refresh(root)
 
     def copy(self) -> "Machine":
@@ -365,10 +414,26 @@ class Machine:
         m.actions = dict(self.actions)
         m.waits = dict(self.waits)
         m._waiters = {iv: set(tids) for iv, tids in self._waiters.items()}
+        m._kinds = {k: c.copy() for k, c in self._kinds.items()}
+        m._all = self._all.copy()
         return m
 
     def enabled(self) -> list[Action]:
         return [a for acts in self.actions.values() for a in acts]
+
+    def count(self) -> int:
+        """The length of `enabled()`."""
+        return self._all.total()
+
+    def nth(self, k: int) -> Action:
+        """`enabled()[k]`, for k below `count()`."""
+        tid, j = self._all.find(k)
+        return self.actions[tid][j]
+
+    def first(self, kind: str) -> Action | None:
+        """The enabled action of this kind with the lowest tid, if any."""
+        c = self._kinds[kind]
+        return (kind, c.find(0)[0]) if c.total() else None
 
     def rescan(self) -> list[Action]:
         """`enabled()` recomputed from every task without the cache: the
@@ -405,7 +470,7 @@ class Machine:
             ptid = ts.registry.get(iv)
             _apply_join(self.ctx, ts, task, iv)
             if ptid is not None:  # the first join on this ivar
-                del self.actions[ptid]
+                self._index(ptid, self.actions.pop(ptid), [])
                 self._forget(ptid)
             self._refresh(task)
             self._wake(iv)
@@ -438,9 +503,21 @@ class Machine:
         if old is not None:
             self._waiters[old].discard(tid)
 
+    def _index(self, tid: int, old: list[Action], new: list[Action]) -> None:
+        """Move the counts of `tid` from its old enabled actions to `new`."""
+        if old == new:
+            return
+        for kind, _ in old:
+            self._kinds[kind].add(tid, -1)
+        for kind, _ in new:
+            self._kinds[kind].add(tid, 1)
+        self._all.add(tid, len(new) - len(old))
+
     def _refresh(self, task: Task) -> None:
         self._forget(task.tid)
-        self.actions[task.tid], wait = _task_actions(self.ctx, self.ts, task)
+        acts, wait = _task_actions(self.ctx, self.ts, task)
+        self._index(task.tid, self.actions.get(task.tid, []), acts)
+        self.actions[task.tid] = acts
         if wait is not None:
             self.waits[task.tid] = wait
             self._waiters.setdefault(wait, set()).add(task.tid)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import statistics
 import struct
 import time
+from array import array
 from dataclasses import dataclass, field as dcfield
 
 from .store import (Store, ConcreteLoc, Concrete, Tag, Scalar,
@@ -148,7 +149,7 @@ class Schema:
 @dataclass
 class Chunks:
     data: bytearray
-    boundaries: list[int]  # start offset of each chunk, ascending
+    boundaries: array  # start offset of each chunk, ascending; 'Q' items
     links: int
     schema: Schema
     capacities: list[int] = dcfield(default_factory=list)  # per-chunk budget
@@ -157,7 +158,7 @@ class Chunks:
         return len(self.boundaries)
 
     def chunk_sizes(self) -> list[int]:
-        bounds = self.boundaries + [len(self.data)]
+        bounds = [*self.boundaries, len(self.data)]
         return [bounds[i + 1] - bounds[i] for i in range(len(self.boundaries))]
 
 
@@ -181,12 +182,12 @@ def _serialize_packed(v, schema: Schema, policy: ChunkPolicy) -> Chunks:
     if isinstance(v, Leaf):
         if SCALAR_BYTES + LINK_BYTES > cap:
             raise ValueTooLarge("scalar exceeds chunk cap")
-        return Chunks(bytearray(_SCALAR(v.value)), [0], 0, schema, [capacity])
+        return Chunks(bytearray(_SCALAR(v.value)), array('Q', [0]), 0, schema, [capacity])
     # preorder over a tree that may share subtrees.  A tag and its scalars are
     # one piece, so continuation markers sit only at tag positions.
     table = schema.table
     data = bytearray()
-    boundaries = [0]
+    boundaries = array('Q', [0])
     capacities = [capacity]
     used = 0
     stack = [v]
@@ -220,7 +221,7 @@ def _serialize_packed(v, schema: Schema, policy: ChunkPolicy) -> Chunks:
 
 def _serialize_per_node(v, schema: Schema, policy: ChunkPolicy) -> Chunks:
     if isinstance(v, Leaf):
-        return Chunks(bytearray(_SCALAR(v.value)), [0], 0, schema)
+        return Chunks(bytearray(_SCALAR(v.value)), array('Q', [0]), 0, schema)
     # preorder: each node is a chunk, each packed field a pointer.  The first
     # child's chunk follows its parent's, so that pointer is written at once;
     # a later child is pushed under its pointer's offset, patched at its pop.
@@ -228,7 +229,7 @@ def _serialize_per_node(v, schema: Schema, policy: ChunkPolicy) -> Chunks:
     cap = policy.cap
     blank = _LINK(PTR_MARKER, 0)
     data = bytearray()
-    boundaries = []
+    boundaries = array('Q')
     pos = 0
     stack = [v]
     pop = stack.pop
@@ -265,75 +266,6 @@ def _serialize_per_node(v, schema: Schema, policy: ChunkPolicy) -> Chunks:
             push(kids[k])
     # every chunk but the root's is the target of exactly one pointer
     return Chunks(data, boundaries, len(boundaries) - 1, schema)
-
-
-def byte_parse(chunks: Chunks):
-    """Invert byte_serialize: rebuild the canonical value from bytes, with
-    its own stack of open constructors, so any depth can be read.  Markers
-    only count at tag positions (scalar bytes sit at fixed offsets and are
-    read raw).  A continuation link jumps for good; a subtree pointer is
-    followed for one child, then parsing resumes past the pointer's cell."""
-    data = bytes(chunks.data)
-    tag_names, fields_of = chunks.schema.tag_names, chunks.schema.fields_of
-    n = len(data)
-    if not data:
-        raise MalformedBuffer("empty buffer")
-    # a bare scalar value serializes to exactly one 8-byte cell
-    kind = "Int" if n == SCALAR_BYTES else "node"
-    # open constructors: (tag, field kinds, the fields read so far, where
-    # parsing resumes once it is complete if a pointer led to it, else None)
-    stack: list[tuple[str, tuple[str, ...], list, int | None]] = []
-    pos, resume, hops = 0, None, 0
-    while True:
-        if kind == "Int":
-            if pos + SCALAR_BYTES > n:
-                raise MalformedBuffer("truncated scalar")
-            (x,) = struct.unpack_from("<q", data, pos)
-            v, end = Leaf(x), pos + SCALAR_BYTES
-        else:
-            b = data[pos] if pos < n else None
-            if b == LINK_MARKER or b == PTR_MARKER:
-                # without a tag in between, more hops than bytes is a cycle
-                hops += 1
-                if hops > n:
-                    raise MalformedBuffer(f"link cycle through {pos}")
-                if pos + LINK_BYTES > n:
-                    raise MalformedBuffer("truncated link" if b == LINK_MARKER
-                                          else "truncated pointer")
-                if b == PTR_MARKER and resume is None:
-                    resume = pos + LINK_BYTES
-                (pos,) = struct.unpack_from("<Q", data, pos + 1)
-                continue
-            if b is None:
-                raise MalformedBuffer(f"offset {pos} past end of buffer")
-            tag = tag_names.get(b)
-            if tag is None:
-                raise MalformedBuffer(f"unknown tag byte {b} at {pos}")
-            hops = 0
-            kinds = fields_of[tag]
-            if kinds:
-                # a well-formed buffer nests no deeper than it has bytes
-                if len(stack) >= n:
-                    raise MalformedBuffer(f"pointer cycle through {pos}")
-                stack.append((tag, kinds, [], resume))
-                pos, kind, resume = pos + 1, kinds[0], None
-                continue
-            v, end = Node(tag, ()), pos + 1
-        if resume is not None:
-            end, resume = resume, None
-        # hand the finished value to the constructors it completes
-        while stack:
-            tag, kinds, fields, ret = stack[-1]
-            fields.append(v)
-            if len(fields) < len(kinds):
-                pos, kind = end, kinds[len(fields)]
-                break
-            stack.pop()
-            v = Node(tag, tuple(fields))
-            if ret is not None:
-                end = ret
-        else:
-            return v
 
 
 def traverse_bytes(chunks: Chunks, repeats: int = 9):
@@ -429,7 +361,7 @@ def _traversal(chunks: Chunks):
     return one_pass
 
 
-### synthetic trees and pointer-count arithmetic
+### synthetic trees
 
 def full_tree(depth: int, leaf_scalars: int = 1, node_tag: str = "Node",
               leaf_tag: str = "Leaf"):
@@ -444,39 +376,3 @@ def full_tree(depth: int, leaf_scalars: int = 1, node_tag: str = "Node",
 def tree_schema(leaf_scalars: int = 1) -> Schema:
     return Schema({"Node": ("Tree", "Tree"),
                    "Leaf": tuple("Int" for _ in range(leaf_scalars))})
-
-
-@dataclass
-class PointerStats:
-    leaves: int
-    per_node_links: int       # every edge is a pointer in the per-node layout
-    eliminated: int           # edges internal to a packed 4-leaf bottom block
-    remaining: int
-    eliminated_ratio: float
-    link_byte_share: float    # remaining link bytes over total bytes
-
-
-def bottom_two_pack_stats(depth: int, leaf_scalars: int = 1) -> PointerStats:
-    """Pointer accounting for packing only the bottom two tree levels.
-
-    A full binary tree with L leaves has 2L-1 constructor nodes and 2L-2
-    edges; in the per-node layout each edge is a link.  Packing each 4-leaf
-    bottom subtree (7 nodes) into one chunk removes that subtree's 6 internal
-    edges: L/4 blocks remove 6L/4 = 1.5L links, i.e. 75% of 2L-2 as L grows.
-    """
-    if depth < 2:
-        raise ValueError("need at least two levels below the root")
-    leaves = 1 << depth
-    per_node = 2 * leaves - 2
-    eliminated = 6 * (leaves // 4)
-    remaining = per_node - eliminated
-    tag_bytes = (2 * leaves - 1) * TAG_BYTES
-    scalar_bytes = leaves * leaf_scalars * SCALAR_BYTES
-    link_bytes = remaining * LINK_BYTES
-    total = tag_bytes + scalar_bytes + link_bytes
-    return PointerStats(leaves=leaves,
-                        per_node_links=per_node,
-                        eliminated=eliminated,
-                        remaining=remaining,
-                        eliminated_ratio=eliminated / per_node,
-                        link_byte_share=link_bytes / total)

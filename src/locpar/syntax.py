@@ -1,4 +1,4 @@
-"""Abstract syntax, concrete `.lcp` format, printing, fresh names, binder numbering.
+"""Abstract syntax, concrete `.lcp` format, fresh names, binder numbering.
 
 Programs are fully location-annotated: every allocating expression names the
 location and region it writes to, and locations are introduced relative to
@@ -543,7 +543,7 @@ def parse_program(text: str) -> Program:
     return _Parser(text).program()
 
 
-### printing
+### printing (error messages)
 
 def _fmt_locexpr(le: LocExpr) -> str:
     if isinstance(le, StartOfRegion):
@@ -551,72 +551,6 @@ def _fmt_locexpr(le: LocExpr) -> str:
     if isinstance(le, AfterTag):
         return f"{le.loc}@{le.region} + 1"
     return f"after({le.ty})"
-
-
-def print_expr(e: Expr, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(e, LetRegion):
-        return f"{pad}letregion {e.region} in\n{print_expr(e.body, indent)}"
-    if isinstance(e, LetLoc):
-        return (f"{pad}letloc {e.loc}@{e.region} = {_fmt_locexpr(e.locexpr)} in\n"
-                f"{print_expr(e.body, indent)}")
-    if isinstance(e, Let):
-        spawn = "spawn " if e.spawn else ""
-        return (f"{pad}let {e.var} : {e.ty} = {spawn}{_inline(e.bound)} in\n"
-                f"{print_expr(e.body, indent)}")
-    if isinstance(e, Case):
-        lines = [f"{pad}case {_inline(e.scrut)} of {{"]
-        for k, b in enumerate(e.branches):
-            sep = "  " if k == 0 else "; "
-            if isinstance(b, ConBranch):
-                pats = "".join(f" ({x} : {ty})" for x, ty in b.fields)
-                head = f"{b.tag}{pats}"
-            elif isinstance(b, IntBranch):
-                head = str(b.value)
-            else:
-                head = "_"
-            lines.append(f"{pad}{sep}{head} ->\n{print_expr(b.body, indent + 2)}")
-        lines.append(f"{pad}}}")
-        return "\n".join(lines)
-    return pad + _inline(e)
-
-
-def _inline(e: Expr) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, ConcreteLocVal):
-        return f"<{e.loc.region},{e.loc.ext}>"
-    if isinstance(e, PrimOp):
-        return f"({_inline(e.lhs)} {e.op} {_inline(e.rhs)})"
-    if isinstance(e, DataCon):
-        parts = [e.tag, f"{e.loc}@{e.region}"] + [_inline(f) for f in e.fields]
-        return "(" + " ".join(parts) + ")"
-    if isinstance(e, App):
-        locs = ", ".join(f"{l}@{r}" for l, r in e.locargs)
-        parts = [e.func, f"[{locs}]"] + [_inline(a) for a in e.args]
-        return "(" + " ".join(parts) + ")"
-    # let-forms nested in an expression position print on one line via parens
-    return "(" + " ".join(print_expr(e).split()) + ")"
-
-
-def print_program(p: Program) -> str:
-    lines: list[str] = []
-    for dd in p.datadecls:
-        rhs = " | ".join(" ".join([tag] + list(ftys)) for tag, ftys in dd.constructors)
-        lines.append(f"data {dd.tycon} = {rhs}")
-        lines.append("")
-    for fd in p.fundecls:
-        locs = ", ".join(f"{l}@{r}" for l, r in fd.locparams)
-        params = ", ".join(f"{x} : {ty}" for x, ty in fd.params)
-        lines.append(f"fun {fd.name} [{locs}] ({params}) : {fd.ret} =")
-        lines.append(print_expr(fd.body, 1))
-        lines.append("")
-    lines.append("main =")
-    lines.append(print_expr(p.main, 1))
-    lines.append("")
-    return "\n".join(lines)
 
 
 ### fresh names

@@ -13,6 +13,7 @@ import pytest
 
 from _acceptance_log import record
 from conftest import GOOD_EXAMPLES
+from oracles import bottom_two_pack_stats
 
 from locpar import eval_par as P
 from locpar import layout as L
@@ -219,7 +220,7 @@ def test_criterion_7_directional_layout():
 
 @criterion(8)
 def test_criterion_8_pointer_fraction():
-    stats = L.bottom_two_pack_stats(20, leaf_scalars=4)
+    stats = bottom_two_pack_stats(20, leaf_scalars=4)
     n_leaves = stats.leaves
     assert n_leaves == 2**20
     # per-node layout: one link per child edge

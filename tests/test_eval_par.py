@@ -1,5 +1,6 @@
 """Parallel machine: schedules, determinism, joins, well-formedness."""
 
+import random
 import sys
 import threading
 from collections import Counter
@@ -399,19 +400,43 @@ SCHEDULES = [P.never_fork, P.always_fork] + \
     [lambda k=k: P.random_schedule(k) for k in range(5)]
 
 
+# each schedule's rule as a scan of the whole enabled list: the reference
+# that the machine's indexed choice must agree with.  A random rule draws
+# from a twin generator seeded alike, in step with the schedule's own.
+def scan_never():
+    return lambda actions: next((a for a in actions if a[0] != "fork"), None)
+
+
+def scan_always():
+    return lambda actions: next((a for kind in ("fork", "step", "join")
+                                 for a in actions if a[0] == kind), None)
+
+
+def scan_random(k):
+    twin = random.Random(k)
+    return lambda actions: twin.choice(actions) if actions else None
+
+
+RULES = [scan_never, scan_always] + \
+    [lambda k=k: scan_random(k) for k in range(5)]
+
+
 def two_waiters():
     return typecheck_program(S.parse_program(TWO_WAITERS))
 
 
-def assert_ready_set_matches_rescan(tp, make_schedule):
-    """The machine keeps its action list incrementally; before every action
-    it must equal a rescan of every task, and the run must finish as
-    run_par does."""
-    m = P.Machine(tp)
-    sched = make_schedule()
+def assert_ready_set_matches_rescan(tp, make_schedule, make_rule,
+                                    implicit_par=False):
+    """The machine keeps its action list incrementally, and indexed; before
+    every action the list, and the index read position by position, must
+    equal a rescan of every task, the schedule must choose what its rule
+    chooses from that rescan, and the run must finish as run_par does."""
+    m = P.Machine(tp, implicit_par=implicit_par)
+    sched, rule = make_schedule(), make_rule()
     while True:
-        actions = m.enabled()
-        assert actions == m.rescan()
+        actions = m.rescan()
+        assert m.enabled() == actions
+        assert [m.nth(k) for k in range(m.count())] == actions
         # each task holds exactly the ivars in its location map, and a joined
         # producer is kept exactly while a live task holds its ivar
         held = set()
@@ -424,11 +449,13 @@ def assert_ready_set_matches_rescan(tp, make_schedule):
         # the live tasks' holds
         assert m.ts.holders == Counter(iv for task in m.ts.tasks.values()
                                        for iv in task.holds)
-        if not actions:
+        act = sched(m)
+        assert act == rule(actions)
+        if act is None:
             break
-        m.apply(sched(m))
+        m.apply(act)
     assert m.finished()
-    res = P.run_par(tp, make_schedule())
+    res = P.run_par(tp, make_schedule(), {"implicit_par": implicit_par})
     assert res.metrics["decisions"] == m.decisions
     return res
 
@@ -437,14 +464,32 @@ class TestIncrementalReadySet:
     @pytest.mark.parametrize("name", GOOD_EXAMPLES)
     def test_run_par_chooses_as_a_full_rescan(self, load_program, name):
         tp = load_program(name)
-        for mk in SCHEDULES:
-            assert_ready_set_matches_rescan(tp, mk)
+        for implicit in (False, True):
+            for mk, rule in zip(SCHEDULES, RULES):
+                assert_ready_set_matches_rescan(tp, mk, rule, implicit)
 
     def test_joined_away_ivar_leaves_its_other_waiters(self):
         tp = two_waiters()
         assert run_seq(tp).value.value == 10
-        for mk in SCHEDULES:
-            assert assert_ready_set_matches_rescan(tp, mk).value.value == 10
+        for mk, rule in zip(SCHEDULES, RULES):
+            res = assert_ready_set_matches_rescan(tp, mk, rule)
+            assert res.value.value == 10
+
+    @pytest.mark.parametrize("name", ["buildtree.lcp", "add1tree.lcp"])
+    def test_never_continues_a_forked_machine_in_task_order(self,
+                                                            load_program, name):
+        # a run under never has one task, so never's choice between tasks
+        # shows only on a machine that another schedule has forked
+        m = P.Machine(load_program(name))
+        never, always, rule = P.never_fork(), P.always_fork(), scan_never()
+        chose_later_task = False
+        while (act := always(m)) is not None:
+            want = rule(m.rescan())
+            if want is not None:
+                assert never(m) == want
+                chose_later_task |= want[1] != 0
+            m.apply(act)
+        assert chose_later_task
 
 
 class TestMachine:

@@ -12,13 +12,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "locpar"
 MODULES = sorted(SRC.glob("*.py"))
 
-# read only by tests, which compare the library against them
-TEST_ORACLES = {
-    "byte_parse": "round-trip oracle for both byte serializers",
-    "bottom_two_pack_stats": "closed-form pointer counts behind criterion 8",
-    "print_program": "parse/print round trip over the corpus",
-}
-
 # parameters that their function does not read, which callers still pass
 UNREAD_PARAMETERS = {
     "check_wellformed.tts": "passed positionally by benchmarks/workloads.py; "
@@ -106,7 +99,8 @@ def test_every_definition_has_a_reader():
     readers = [p for p in (ROOT / "benchmarks").glob("*.py")
                if not p.name.startswith("test_")]
     unread = unread_definitions(_sources(MODULES), _sources(readers))
-    assert {u.rsplit(".", 1)[1] for u in unread} == set(TEST_ORACLES), unread
+    # references that only tests read live in tests/oracles.py
+    assert unread == set()
 
 
 def test_every_parameter_is_read():

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import bottom_two_pack_stats, byte_parse
+
 from locpar import layout as L
 from locpar import eval_par as P
 from locpar.eval_seq import run_seq
@@ -172,7 +174,7 @@ def _outcome(serialize):
         ch = serialize()
     except Exception as err:  # the class is what gets compared
         return type(err)
-    return bytes(ch.data), ch.boundaries, ch.links, ch.capacities
+    return bytes(ch.data), list(ch.boundaries), ch.links, ch.capacities
 
 
 def assert_matches_reference(v, schema):
@@ -238,26 +240,26 @@ class TestByteSerialization:
     @pytest.mark.parametrize("mode", ["packed", "per-node-fragmented"])
     def test_golden_round_trip(self, mode):
         ch = L.byte_serialize(GOLDEN, EXP_SCHEMA, mode=mode)
-        assert L.byte_parse(ch) == GOLDEN
+        assert byte_parse(ch) == GOLDEN
 
     @given(tree=exp_trees())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_any_tree_packed(self, tree):
         ch = L.byte_serialize(tree, EXP_SCHEMA, mode="packed")
-        assert L.byte_parse(ch) == tree
+        assert byte_parse(ch) == tree
 
     @given(tree=exp_trees())
     @settings(max_examples=30, deadline=None)
     def test_round_trip_any_tree_fragmented(self, tree):
         ch = L.byte_serialize(tree, EXP_SCHEMA, mode="per-node-fragmented")
-        assert L.byte_parse(ch) == tree
+        assert byte_parse(ch) == tree
 
     @given(tree=exp_trees(), initial=st.integers(min_value=18, max_value=96))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_under_any_chunk_policy(self, tree, initial):
         policy = L.ChunkPolicy(initial=initial)
         ch = L.byte_serialize(tree, EXP_SCHEMA, policy, mode="packed")
-        assert L.byte_parse(ch) == tree
+        assert byte_parse(ch) == tree
 
     def test_chunk_growth_doubles(self):
         tree = L.full_tree(4)
@@ -275,7 +277,7 @@ class TestByteSerialization:
         ch = L.byte_serialize(tree, L.tree_schema(), policy, mode="packed")
         assert ch.chunk_count() > 1
         assert all(sz <= 32 for sz in ch.chunk_sizes())
-        assert L.byte_parse(ch) == tree
+        assert byte_parse(ch) == tree
 
     def test_deep_chain_serializes_per_node_without_recursion(self):
         nat = L.Schema({"Z": (), "Su": ("Nat",)})
@@ -297,7 +299,7 @@ class TestByteSerialization:
         for _ in range(10_000):
             v = L.Node("Su", (v,))
         ch = L.byte_serialize(v, nat, mode=mode)
-        got = L.byte_parse(ch)
+        got = byte_parse(ch)
         # walked, since == on dataclasses recurses once per level
         depth = 0
         while got.tag == "Su":
@@ -391,7 +393,7 @@ class TestMalformedBuffers:
         for data in (bytes([marker]) + struct.pack("<Q", 0) + bytes([su]),
                      bytes([su, marker]) + struct.pack("<Q", 0)):
             ch = L.Chunks(bytearray(data), [0], 1, nat)
-            for read in (L.byte_parse, lambda ch: L.traverse_bytes(ch, 1)):
+            for read in (byte_parse, lambda ch: L.traverse_bytes(ch, 1)):
                 with pytest.raises(L.MalformedBuffer, match="cycle"):
                     read(ch)
 
@@ -399,19 +401,19 @@ class TestMalformedBuffers:
         ch = L.byte_serialize(GOLDEN, EXP_SCHEMA, mode="packed")
         ch.data = ch.data[:-3]
         with pytest.raises(L.MalformedBuffer):
-            L.byte_parse(ch)
+            byte_parse(ch)
 
     def test_unknown_tag_byte(self):
         ch = L.byte_serialize(GOLDEN, EXP_SCHEMA, mode="packed")
         ch.data = bytearray(ch.data)
         ch.data[0] = 0xFD
         with pytest.raises(L.MalformedBuffer):
-            L.byte_parse(ch)
+            byte_parse(ch)
 
 
 class TestPointerStats:
     def test_exact_counts_depth_10(self):
-        stats = L.bottom_two_pack_stats(10, leaf_scalars=4)
+        stats = bottom_two_pack_stats(10, leaf_scalars=4)
         leaves = stats.leaves
         assert leaves == 2**10
         assert stats.per_node_links == 2 * leaves - 2

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import BAD_EXAMPLES, EXAMPLES, GOOD_EXAMPLES
+from oracles import print_expr, print_program
 
 from locpar import syntax as S
 
@@ -58,7 +59,7 @@ class TestParsePrintRoundTrip:
     @pytest.mark.parametrize("name", sorted(GOOD_EXAMPLES + BAD_EXAMPLES))
     def test_example_round_trips(self, name):
         prog = S.parse_program((EXAMPLES / name).read_text())
-        assert S.parse_program(S.print_program(prog)) == prog
+        assert S.parse_program(print_program(prog)) == prog
 
     def test_readme_example_is_corpus_buildtree(self):
         # the README's language example is checked by the corpus tests only
@@ -70,13 +71,13 @@ class TestParsePrintRoundTrip:
 
     def test_expr_round_trip(self):
         e = parse_expr("let x : Int = (1 + 2) in (x * x)")
-        assert parse_expr(S.print_expr(e)) == e
+        assert parse_expr(print_expr(e)) == e
 
     @given(st.integers(min_value=-(2**40), max_value=2**40))
     def test_int_literals_round_trip(self, n):
         e = parse_expr(str(n))
         assert isinstance(e, S.IntLit) and e.value == n
-        assert parse_expr(S.print_expr(e)) == e
+        assert parse_expr(print_expr(e)) == e
 
     def test_syntax_error_raised(self):
         with pytest.raises(S.SyntaxErrorLC):
